@@ -90,7 +90,7 @@ class ContactManager:
         self.mobility = mobility_mgr
         self.checkpoint_listeners = []   # fn(nid, entries) after each maintenance pass
         self._qid = 0
-        self._pending = {}               # qid -> {"pending": set, "replies": list, "cb": fn}
+        self._pending = {}               # qid -> {"pending": set, "cb": fn}
         for node in kernel.nodes.values():
             node.contacts = ContactState()
         if config.E_half is None:
@@ -176,7 +176,7 @@ class ContactManager:
                 return
             if len(set(route)) != len(route):
                 return
-            if not self._route_valid(nid, route):
+            if not self.kernel.route_intact(nid, route):
                 return  # a repair that does not probe through is a failed repair
             if best is None or len(route) < len(best):
                 best = route
@@ -242,12 +242,9 @@ class ContactManager:
         if route is None:
             return
         now = self.kernel.now_us
-        cnode = self.kernel.nodes[cand]
-        entry = ContactEntry(
-            contact=cand, route=route, established_at_us=now, last_refresh_us=now,
-            s_est=self.mobility.stability(nid, cand),
-            e_est_contact=self.kernel.energy_left(cand) / cnode.drain_w,
-            capabilities=self._capabilities(cand), approx_pos=cnode.pos())
+        entry = ContactEntry(contact=cand, route=route, established_at_us=now,
+                             last_refresh_us=now, s_est=0.0, e_est_contact=0.0)
+        self._refresh(nid, entry)
         self.kernel.nodes[nid].contacts.entries[cand] = entry
         self.kernel.trace(nid, "contact_add", {"contact": cand, "hops": len(route)})
 
@@ -277,7 +274,7 @@ class ContactManager:
             return self._drop(nid, cid, "dead")
         if cid in node.zone.table.members:
             return self._drop(nid, cid, "rezoned")
-        if self._route_valid(nid, entry.route) and len(entry.route) <= bound:
+        if self.kernel.route_intact(nid, entry.route) and len(entry.route) <= bound:
             self._refresh(nid, entry)
             return entry
         repaired = self._route_via_borders(nid, cid)
@@ -286,14 +283,6 @@ class ContactManager:
         entry.route = repaired
         self._refresh(nid, entry)
         return entry
-
-    def _route_valid(self, nid, route):
-        prev = nid
-        for hop in route:
-            if not self.kernel.are_neighbors(prev, hop):
-                return False
-            prev = hop
-        return True
 
     def _refresh(self, nid, entry):
         cnode = self.kernel.nodes[entry.contact]
@@ -316,30 +305,17 @@ class ContactManager:
         self.record_discovery(nid)
         self._qid += 1
         qid = (nid, self._qid, "cq")
-        rec = {"pending": set(state.entries), "replies": [], "cb": on_reply}
-        self._pending[qid] = rec
+        self._pending[qid] = {"pending": set(state.entries), "cb": on_reply}
         self.kernel.trace(nid, "contact_query", {"n": len(state.entries)})
         for cid in sorted(state.entries):
-            entry = state.entries[cid]
-            payload = {"qid": qid, "pred": pred, "origin": nid,
-                       "route": tuple(entry.route)}
-            pkt = self.kernel.new_packet(CONTACT_QUERY, nid, len(entry.route) + 1,
-                                         payload, dst=entry.route[0])
-            self.kernel.transmit(nid, pkt)
+            self.kernel.source_route(nid, CONTACT_QUERY, state.entries[cid].route,
+                                     {"qid": qid, "pred": pred, "origin": nid})
         if state.entries:
             self.kernel.schedule_in(int(timeout_s * US), self._expire, qid)
         return qid
 
-    def replies(self, qid):
-        rec = self._pending.get(qid)
-        return rec["replies"] if rec else []
-
     def _on_query(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
-        pos = route.index(nid)
-        if pos + 1 < len(route):
-            self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
+        if self.kernel.relay(nid, pkt):
             return
         self.record_discovery(nid)
         detail = self.zone.evaluate(nid, pkt.payload["pred"])
@@ -347,13 +323,10 @@ class ContactManager:
             detail = self._eval_own_contacts(nid, pkt.payload["pred"])
         if detail is None:
             return
-        back = list(reversed(route[:-1])) + [pkt.payload["origin"]]
         payload = {"qid": pkt.payload["qid"], "detail": detail, "contact": nid,
-                   "query_path": list(pkt.path_record), "route": tuple(back)}
-        reply = self.kernel.new_packet(CONTACT_REPLY, nid, len(back) + 1,
-                                       payload, dst=back[0] if back else None)
-        if back:
-            self.kernel.transmit(nid, reply)
+                   "query_path": list(pkt.path_record)}
+        self.kernel.source_reply(nid, pkt, CONTACT_REPLY, payload,
+                                 pkt.payload["origin"])
 
     def _eval_own_contacts(self, nid, pred):
         """One level of contact recursion: consult own contact metadata only."""
@@ -367,18 +340,12 @@ class ContactManager:
         return None
 
     def _on_reply(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
-        pos = route.index(nid)
-        if pos + 1 < len(route):
-            self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
+        if self.kernel.relay(nid, pkt):
             return
-        qid = pkt.payload["qid"]
-        rec = self._pending.get(qid)
+        rec = self._pending.get(pkt.payload["qid"])
         if rec is None:
             return
         rec["pending"].discard(pkt.payload["contact"])
-        rec["replies"].append((pkt.payload["detail"], pkt.payload["query_path"]))
         if rec["cb"] is not None:
             rec["cb"](pkt.payload["detail"], pkt.payload["query_path"])
 

@@ -1,4 +1,5 @@
-"""Deterministic discrete-event kernel: clock, node registry, radio, one-hop delivery.
+"""Deterministic discrete-event kernel: clock, node registry, radio, one-hop delivery,
+and the source-routing, greedy-step and route-probe helpers the layers share.
 
 Time is kept as integer microseconds so event ordering and traces are exact.
 Links are unit-disk (inclusive boundary); the path-loss formula is only used
@@ -30,7 +31,6 @@ HELLO = "hello"
 ZONE_LINK_STATE = "zone_link_state"
 BORDERCAST_QUERY = "bordercast_query"
 BORDERCAST_REPLY = "bordercast_reply"
-CONTACT_MAINT = "contact_maint"
 CONTACT_QUERY = "contact_query"
 CONTACT_REPLY = "contact_reply"
 ADV = "adv"
@@ -41,17 +41,20 @@ MESH_LEAVE = "mesh_leave"
 BRANCH_BREAK = "branch_break"
 DATA = "data"
 SDS_ADVERT = "sds_advert"
-SDS_LEAVE = "sds_leave"
 SDS_SYNC = "sds_sync"
-SESSION_REGISTER = "session_register"
 SESSION_REPLY = "session_reply"
-SESSION_ANNOUNCE = "session_announce"
 GROUP_QUERY = "group_query"
 GROUP_QUERY_REPLY = "group_query_reply"
 LAR_FORWARD = "lar_forward"
 GEOCAST = "geocast"
 
-DATA_KINDS = {DATA}
+
+def reverse_route(path_record, origin):
+    """Reply route for a recorded query path, cut at origin's first appearance."""
+    back = list(reversed(path_record[:-1])) + [origin]
+    if origin in back[:-1]:
+        back = back[:back.index(origin) + 1]
+    return back
 
 
 @dataclass
@@ -279,7 +282,7 @@ class Kernel:
                       pid=(src, self._pkt_seq))
 
     def transmit(self, sender, packet):
-        """Broadcast one hop. Returns the delivery set [(nid, rx_power), ...].
+        """Broadcast one hop.
 
         Every current neighbor receives a copy after the one-hop latency;
         handler dispatch is limited to packet.dst when set (unicast processing).
@@ -304,16 +307,98 @@ class Kernel:
         if receivers:
             self.schedule_in(self.latency_us, self._deliver, sender, packet,
                              receivers, powers)
-        if powers is not None:
-            return list(zip(receivers, powers))
-        return [(nid, None) for nid in receivers]
 
     def forward(self, nid, pkt, dst):
-        """Relay a unicast-chained packet one hop; drops it on TTL exhaustion."""
-        pkt.ttl_hops -= 1
-        if pkt.ttl_hops > 0:
-            pkt.dst = dst
-            self.transmit(nid, pkt)
+        """Relay a copy of pkt one hop to dst (None: a broadcast), spending one
+        hop of TTL; a packet whose TTL is spent stops here."""
+        if pkt.ttl_hops > 1:
+            out = pkt.hop_copy()
+            out.ttl_hops -= 1
+            out.dst = dst
+            self.transmit(nid, out)
+
+    # -- source routing -----------------------------------------------------
+    # A source-routed packet carries its explicit route (sender excluded) as
+    # payload["route"] and a TTL of len(route) + 1. Each hop's handler calls
+    # relay() (or route_hop() when it must act before forwarding) and runs its
+    # terminal logic only at the last hop.
+
+    def source_route(self, sender, kind, route, payload, path_record=()):
+        """Send a new packet along route; path_record seeds its recorded path."""
+        payload["route"] = tuple(route)
+        pkt = self.new_packet(kind, sender, len(route) + 1, payload, dst=route[0])
+        pkt.path_record = list(path_record)
+        self.transmit(sender, pkt)
+
+    def source_reply(self, nid, query, kind, payload, origin):
+        """Answer query back along its recorded path to origin.
+
+        With no path to walk (nothing recorded, or nid is origin) the reply goes
+        straight to kind's handler at origin, as a packet routed (origin,).
+        """
+        back = reverse_route(query.path_record, origin) if query.path_record else []
+        if back and back != [nid]:
+            self.source_route(nid, kind, back, payload)
+            return
+        payload["route"] = (origin,)
+        pkt = self.new_packet(kind, nid, 1, payload, dst=origin)
+        handler = self.handlers.get(kind)
+        if handler is not None:
+            handler(origin, pkt, None, nid)
+
+    def route_hop(self, nid, pkt):
+        """Record a source-routed packet at nid; return (previous hop, next hop).
+
+        The previous hop of the first hop is the packet's source; the next hop
+        of the last hop is None. nid's position is its first one on the route.
+        """
+        pkt.path_record.append(nid)
+        route = pkt.payload["route"]
+        pos = route.index(nid)
+        prev = route[pos - 1] if pos else pkt.src
+        return prev, route[pos + 1] if pos + 1 < len(route) else None
+
+    def relay(self, nid, pkt):
+        """Forward a source-routed packet from nid; False when nid is its last hop.
+
+        The packet goes on even when the next hop is no longer adjacent: the
+        transmission is counted and reaches no handler.
+        """
+        nxt = self.route_hop(nid, pkt)[1]
+        if nxt is None:
+            return False
+        self.forward(nid, pkt, nxt)
+        return True
+
+    # -- geometry helpers for the routing layers ----------------------------
+
+    def closer_node(self, nid, goal, candidates=None):
+        """The live candidate closest to goal and strictly closer than nid.
+
+        Candidates default to nid's neighbors; ties go to the earliest one;
+        None when no candidate is closer (a greedy local minimum).
+        """
+        gx, gy = goal
+        me = self.nodes[nid]
+        best, best_d = None, math.hypot(me.x - gx, me.y - gy)
+        nodes = self.nodes
+        for c in self._nbr_sorted[nid] if candidates is None else candidates:
+            n = nodes.get(c)
+            if n is None or not n.alive:
+                continue
+            d = math.hypot(n.x - gx, n.y - gy)
+            if d < best_d:
+                best, best_d = c, d
+        return best
+
+    def route_intact(self, nid, route):
+        """True when each hop of route (nid excluded) is adjacent to the one before."""
+        prev = nid
+        for hop in route:
+            if hop not in self._nbr_sets[prev]:
+                return False
+            prev = hop
+        return True
 
     def _deliver(self, sender, packet, receivers, powers):
         # Handlers receive the transmitted object itself. A dst-directed packet

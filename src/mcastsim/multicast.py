@@ -11,7 +11,6 @@ link is active while any active reference exists, so the no-black-hole rule
 deactivates branches exactly as the emptied subtree unwinds.
 """
 
-import math
 from dataclasses import dataclass
 
 from .kernel import (US, ADV, BRANCH_BREAK, DATA, GROUP_QUERY,
@@ -35,6 +34,12 @@ class MulticastConfig:
     join_backoff_s: float = 2.0
     join_max_backoff_s: float = 30.0
     group_query_window_s: float = 0.5
+
+
+def senders_detail(senders):
+    """Discovery answer listing SDS sender records (no stability known)."""
+    return {"senders": {sid: {"pos": m["pos"], "route": m["route"], "stab": None}
+                        for sid, m in senders.items()}}
 
 
 class Link:
@@ -93,7 +98,6 @@ class McastState:
         self.joins = {}         # join id -> JoinState
         self.pop = {}           # group key -> popularity bookkeeping
         self.seen = set()       # flood dedup tokens
-        self.sessions_found = {}
 
 
 class MulticastService:
@@ -128,8 +132,8 @@ class MulticastService:
         kernel.register_handler(BRANCH_BREAK, self._on_branch_break)
         kernel.register_handler(DATA, self._on_data)
         kernel.register_handler(GROUP_QUERY, self._dispatch_group_query)
-        kernel.register_handler(GROUP_QUERY_REPLY, self.rr._on_source_routed)
-        kernel.register_handler(JOIN_REPLY, self.rr._on_source_routed)
+        kernel.register_handler(GROUP_QUERY_REPLY, self._on_group_reply)
+        kernel.register_handler(JOIN_REPLY, self._on_join_reply)
         kernel.register_handler(SDS_ADVERT, self._on_local_sds_advert)
         kernel.on_link_change(self._on_link_change)
         zone_mgr.register_evaluator(self._eval_group_info)
@@ -138,9 +142,6 @@ class MulticastService:
         rendezvous_mgr.register_rr_handler("rr_update", self._rr_sender_update)
         rendezvous_mgr.register_rr_handler("group_sync", self._rr_group_sync)
         rendezvous_mgr.register_rr_handler("session_query", self._rr_session_query)
-        rendezvous_mgr._source_route_terminals[JOIN_REPLY] = self._terminal_join_reply
-        rendezvous_mgr._source_route_terminals[GROUP_QUERY_REPLY] = \
-            self._terminal_group_reply
 
     def start(self):
         self.kernel.schedule_in(int(self.config.adv_period_s * US),
@@ -324,11 +325,9 @@ class MulticastService:
             self._stage_advance(nid, join)
             return
         pred = {"kind": join.query_kind, "group": key}
-        payload = {"pred": pred, "origin": nid, "route": tuple(route),
-                   "join_key": list(key), "stage": join.stage}
-        pkt = self.kernel.new_packet(GROUP_QUERY, nid, len(route) + 1, payload,
-                                     dst=route[0])
-        self.kernel.transmit(nid, pkt)
+        payload = {"pred": pred, "origin": nid, "join_key": list(key),
+                   "stage": join.stage}
+        self.kernel.source_route(nid, GROUP_QUERY, route, payload)
         self._arm_timeout(nid, join)
 
     def _local_group_info(self, nid, key):
@@ -342,9 +341,7 @@ class MulticastService:
         if key[0] in sds.prefixes or key in sds.local_groups:
             senders = self.rr.live_senders(nid, key)
             if senders:
-                return {"senders": {sid: {"pos": m["pos"], "route": m["route"],
-                                          "stab": None}
-                                    for sid, m in senders.items()}}
+                return senders_detail(senders)
         return None
 
     def _live_adv_senders(self, nid, key):
@@ -360,7 +357,7 @@ class MulticastService:
         for sid in sorted(local):
             if local[sid] >= horizon and sid in members:
                 return sid
-        detail = self.rr._eval_sds_for(nid, {"kind": "sds_for", "prefix": key[0]})
+        detail = self.zone.evaluate(nid, {"kind": "sds_for", "prefix": key[0]})
         if detail is not None and detail["sds"] != nid:
             return detail["sds"]
         return None
@@ -400,32 +397,24 @@ class MulticastService:
     def _stage_success(self, nid, join, detail, query_path):
         if join.resolved:
             return
-        if join.query_kind == "session_registry":
-            join.resolved = True
-            if join.timer is not None:
-                self.kernel.cancel(join.timer)
-            self._trace_stage(nid, join, "success", hops=len(query_path))
-            found = {name: GroupAddress(*meta["addr"])
-                     for name, meta in detail.get("sessions", {}).items()}
-            self.kernel.nodes[nid].mcast.sessions_found.update(found)
-            for name, meta in detail.get("sessions", {}).items():
-                self.kernel.nodes[nid].sds.announcements.setdefault(name, dict(meta))
-            if join.on_sessions is not None:
-                join.on_sessions(found)
-            return
-        candidates = self._candidates_from_detail(nid, detail, query_path)
-        launched = self.send_join_request(nid, join.key, candidates)
-        if launched == 0:
-            # the answer offered nothing joinable (e.g. stale paths); keep looking
-            self._trace_stage(nid, join, "unusable")
-            if join.timer is not None:
-                self.kernel.cancel(join.timer)
-            self._stage_advance(nid, join)
-            return
-        join.resolved = True
         if join.timer is not None:
             self.kernel.cancel(join.timer)
+        if join.query_kind == "group_info":
+            candidates = self._candidates_from_detail(nid, detail, query_path)
+            if self.send_join_request(nid, join.key, candidates) == 0:
+                # the answer offered nothing joinable (e.g. stale paths); keep looking
+                self._trace_stage(nid, join, "unusable")
+                self._stage_advance(nid, join)
+                return
+        join.resolved = True
         self._trace_stage(nid, join, "success", hops=len(query_path))
+        if join.query_kind == "session_registry":
+            sessions = detail.get("sessions", {})
+            for name, meta in sessions.items():
+                self.kernel.nodes[nid].sds.announcements.setdefault(name, dict(meta))
+            if join.on_sessions is not None:
+                join.on_sessions({name: GroupAddress(*meta["addr"])
+                                  for name, meta in sessions.items()})
 
     # -- query evaluation (runs at remote nodes) --------------------------------------
 
@@ -455,11 +444,7 @@ class MulticastService:
             self._on_group_query(nid, pkt, rx_power, sender)
 
     def _on_group_query(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
-        pos = route.index(nid)
-        if pos + 1 < len(route):
-            self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
+        if self.kernel.relay(nid, pkt):
             return
         self._note_activity(nid)
         detail = self.zone.evaluate(nid, pkt.payload["pred"])
@@ -468,28 +453,31 @@ class MulticastService:
         inner = {"detail": detail, "join_key": pkt.payload.get("join_key"),
                  "stage": pkt.payload.get("stage"),
                  "qpath": list(pkt.path_record)}
-        self.rr._reply_source_routed(nid, pkt, GROUP_QUERY_REPLY, inner,
-                                     pkt.payload["origin"])
+        self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
 
-    def _terminal_group_reply(self, nid, pkt):
+    def _reply(self, nid, query, kind, inner, origin):
+        """Answer query at origin; reply handlers read payload["inner"]."""
+        self.kernel.source_reply(nid, query, kind, {"inner": inner}, origin)
+
+    def _on_group_reply(self, nid, pkt, rx_power, sender):
+        if self.kernel.relay(nid, pkt):
+            return
         inner = pkt.payload["inner"]
         if inner.get("pop") is not None:
-            self._collect_pop_reply(nid, inner)
+            self._collect_pop_reply(nid, tuple(inner["join_key"]), inner["pop"])
             return
         if inner.get("sync_for") is not None:
             self._absorb_group_sync(nid, inner)
             return
         key = tuple(inner["join_key"]) if inner.get("join_key") else None
-        join = self._find_join(nid, key, inner.get("stage"))
-        if join is not None and not join.resolved:
-            self._stage_success(nid, join, inner["detail"], inner.get("qpath", []))
+        self._resume_join(nid, key, inner)
 
-    def _find_join(self, nid, key, stage):
-        state = self.kernel.nodes[nid].mcast
-        for j in state.joins.values():
-            if j.key == key and not j.resolved and j.stage == stage:
-                return j
-        return None
+    def _resume_join(self, nid, key, inner):
+        """Hand a discovery answer to the join still waiting at its stage."""
+        for j in self.kernel.nodes[nid].mcast.joins.values():
+            if j.key == key and not j.resolved and j.stage == inner.get("stage"):
+                self._stage_success(nid, j, inner["detail"], inner.get("qpath", []))
+                return
 
     def _on_join_query(self, nid, pkt, rx_power, sender):
         if pkt.payload.get("q") == "probe":
@@ -514,8 +502,7 @@ class MulticastService:
             inner = {"detail": detail, "join_key": list(key), "stab": stab,
                      "stage": pkt.payload.get("stage"),
                      "qpath": list(pkt.path_record)}
-            self.rr._reply_source_routed(nid, pkt, GROUP_QUERY_REPLY, inner,
-                                         pkt.payload["origin"])
+            self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
             return
         if pkt.ttl_hops > 1:
             pkt.payload = dict(pkt.payload, stab=stab)
@@ -527,26 +514,24 @@ class MulticastService:
         key = tuple(inner["group"])
         senders = self.rr.live_senders(nid, key)
         if senders:
-            detail = {"senders": {sid: {"pos": m["pos"], "route": m["route"],
-                                        "stab": None}
-                                  for sid, m in senders.items()}}
+            detail = senders_detail(senders)
         elif self.mesh_active(nid, key):
             detail = {"graft": nid}
         else:
             return  # nothing to offer; the querier times out and retries
         reply = {"detail": detail, "join_key": list(key),
                  "stage": inner.get("stage"), "qpath": list(pkt.path_record)}
-        self.rr._reply_source_routed(nid, pkt, JOIN_REPLY, reply, inner["origin"])
+        self._reply(nid, pkt, JOIN_REPLY, reply, inner["origin"])
 
-    def _terminal_join_reply(self, nid, pkt):
+    def _on_join_reply(self, nid, pkt, rx_power, sender):
+        if self.kernel.relay(nid, pkt):
+            return
         inner = pkt.payload["inner"]
         key = tuple(inner["join_key"])
         if inner.get("probe"):
             self._probe_result(nid, key, inner)
             return
-        join = self._find_join(nid, key, inner.get("stage"))
-        if join is not None and not join.resolved:
-            self._stage_success(nid, join, inner["detail"], inner.get("qpath", []))
+        self._resume_join(nid, key, inner)
 
     def _rr_sender_update(self, nid, pkt):
         inner = pkt.payload["inner"]
@@ -559,7 +544,7 @@ class MulticastService:
         detail = {"sessions": {name: dict(meta) for name, meta in sorted(ann.items())}}
         reply = {"detail": detail, "join_key": list(inner["group"]),
                  "stage": inner.get("stage"), "qpath": list(pkt.path_record)}
-        self.rr._reply_source_routed(nid, pkt, JOIN_REPLY, reply, inner["origin"])
+        self._reply(nid, pkt, JOIN_REPLY, reply, inner["origin"])
 
     # -- join requests and mesh construction -------------------------------------------
 
@@ -647,57 +632,43 @@ class MulticastService:
         if active:
             self.kernel.trace(nid, "branch_activate",
                               {"g": list(key), "via": path[0]})
-        self._walk_join(nid, key, path, active)
+        self._walk_join(nid, key, path, nid, active)
         return True
 
-    def _walk_join(self, nid, key, path, active):
-        if not path:
-            return
-        link = self._link(nid, key, path[0])
-        if active:
-            link.up_for.add(nid)
+    def _mark_link(self, nid, key, peer, r, active, up):
+        """Record receiver r on the link to peer: active or standby, up or down."""
+        link = self._link(nid, key, peer)
+        if up:
+            (link.up_for if active else link.standby_up).add(r)
         else:
-            link.standby_up.add(nid)
+            (link.down_members if active else link.standby_down).add(r)
         link.last_us = self.kernel.now_us
-        payload = {"group": list(key), "receiver": nid, "active": active,
-                   "route": tuple(path), "from": nid}
-        pkt = self.kernel.new_packet(JOIN_REQUEST, nid, len(path) + 1, payload,
-                                     dst=path[0])
-        self.kernel.transmit(nid, pkt)
+
+    def _walk_join(self, nid, key, path, r, active):
+        """Mark the first hop up for receiver r and walk a join along path."""
+        self._mark_link(nid, key, path[0], r, active, up=True)
+        payload = {"group": list(key), "receiver": r, "active": active}
+        self.kernel.source_route(nid, JOIN_REQUEST, path, payload)
 
     def _on_join_request(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
         key = tuple(pkt.payload["group"])
         r = pkt.payload["receiver"]
         active = pkt.payload["active"]
-        pos = route.index(nid)
-        prev = route[pos - 1] if pos > 0 else pkt.payload.get("from", r)
-        link_down = self._link(nid, key, prev)
-        if active:
-            link_down.down_members.add(r)
-        else:
-            link_down.standby_down.add(r)
-        link_down.last_us = self.kernel.now_us
+        prev, nxt = self.kernel.route_hop(nid, pkt)
+        self._mark_link(nid, key, prev, r, active, up=False)
         ent = self.entry(nid, key)
         if not ent.roles:
             ent.roles.add("forwarder")
-        if pos + 1 < len(route):
-            nxt_peer = route[pos + 1]
-            link_up = self._link(nid, key, nxt_peer)
-            if active:
-                link_up.up_for.add(r)
-            else:
-                link_up.standby_up.add(r)
-            link_up.last_us = self.kernel.now_us
-            if not self.kernel.are_neighbors(nid, nxt_peer):
-                self.kernel.schedule_in(0, self._notify_join_break, r, key,
-                                        list(route))
-                return
-            self.kernel.forward(nid, pkt.hop_copy(), nxt_peer)
-        else:
+        if nxt is None:
             ent.last_data_us = self.kernel.now_us
             self._ensure_upstream(nid, key)
+            return
+        self._mark_link(nid, key, nxt, r, active, up=True)
+        if self.kernel.are_neighbors(nid, nxt):
+            self.kernel.forward(nid, pkt, nxt)
+        else:
+            self.kernel.schedule_in(0, self._notify_join_break, r, key,
+                                    list(pkt.payload["route"]))
 
     def _notify_join_break(self, receiver, key, route):
         """A join walk hit a vanished hop: discard the branch at the receiver."""
@@ -722,14 +693,10 @@ class MulticastService:
         if not path:
             return
         self._apply_mode(nid, key, nid, mode, prev=None, nxt=path[0])
-        payload = {"group": list(key), "receiver": nid, "mode": mode,
-                   "route": tuple(path)}
-        pkt = self.kernel.new_packet(MESH_LEAVE, nid, len(path) + 1, payload,
-                                     dst=path[0])
-        self.kernel.transmit(nid, pkt)
+        payload = {"group": list(key), "receiver": nid, "mode": mode}
+        self.kernel.source_route(nid, MESH_LEAVE, path, payload)
 
     def _on_mesh_walk(self, nid, pkt, rx_power, sender):
-        route = pkt.payload["route"]
         r = pkt.payload["receiver"]
         key = tuple(pkt.payload["group"])
         mode = pkt.payload["mode"]
@@ -743,12 +710,10 @@ class MulticastService:
                 link.standby_down.discard(r)
             self._ref_leave_up(nid, key, r)
             return
-        pos = route.index(nid)
-        prev = route[pos - 1] if pos > 0 else r
-        nxt = route[pos + 1] if pos + 1 < len(route) else None
+        prev, nxt = self.kernel.route_hop(nid, pkt)
         self._apply_mode(nid, key, r, mode, prev=prev, nxt=nxt)
         if nxt is not None and self.kernel.are_neighbors(nid, nxt):
-            self.kernel.forward(nid, pkt.hop_copy(), nxt)
+            self.kernel.forward(nid, pkt, nxt)
 
     def _apply_mode(self, nid, key, r, mode, prev, nxt):
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
@@ -861,13 +826,9 @@ class MulticastService:
             return 0
         copies = 0
         for peer in sorted(ent.links):
-            if peer == arrival_from or not ent.links[peer].active():
-                continue
-            out = pkt.hop_copy()
-            out.ttl_hops -= 1
-            out.dst = peer
-            self.kernel.transmit(nid, out)
-            copies += 1
+            if peer != arrival_from and ent.links[peer].active():
+                self.kernel.forward(nid, pkt, peer)
+                copies += 1
         return copies
 
     # -- recovery and handoff ----------------------------------------------------------
@@ -919,7 +880,7 @@ class MulticastService:
                                               exclude={broken_peer} | subtree | {nid})
         if patch is not None:
             for r in sorted(subtree):
-                self._splice_join(nid, key, route, r)
+                self._walk_join(nid, key, route, r, active=True)
             self.kernel.trace(nid, "local_repair",
                               {"g": list(key), "ok": True, "via": patch})
             return "repaired"
@@ -929,20 +890,10 @@ class MulticastService:
         for peer in sorted(ent.links):
             l = ent.links[peer]
             if l.down_members and self.kernel.are_neighbors(nid, peer):
-                payload = {"group": list(key), "from": nid}
-                pkt = self.kernel.new_packet(BRANCH_BREAK, nid, 2, payload, dst=peer)
+                pkt = self.kernel.new_packet(BRANCH_BREAK, nid, 2,
+                                             {"group": list(key)}, dst=peer)
                 self.kernel.transmit(nid, pkt)
         return "failed"
-
-    def _splice_join(self, nid, key, route, r):
-        link = self._link(nid, key, route[0])
-        link.up_for.add(r)
-        link.last_us = self.kernel.now_us
-        payload = {"group": list(key), "receiver": r, "active": True,
-                   "route": tuple(route), "from": nid}
-        pkt = self.kernel.new_packet(JOIN_REQUEST, nid, len(route) + 1, payload,
-                                     dst=route[0])
-        self.kernel.transmit(nid, pkt)
 
     def _downstream_members(self, nid, key):
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
@@ -964,16 +915,7 @@ class MulticastService:
             if not self.mesh_active(m, key):
                 continue
             route = self.zone.intra_zone_route(nid, m)
-            if not route:
-                continue
-            prev = nid
-            ok = True
-            for hop in route:
-                if not self.kernel.are_neighbors(prev, hop):
-                    ok = False
-                    break
-                prev = hop
-            if ok:
+            if route and self.kernel.route_intact(nid, route):
                 return m, route
         return None, None
 
@@ -1006,7 +948,6 @@ class MulticastService:
             if self.kernel.are_neighbors(nid, peer):
                 payload = {"group": list(key), "receiver": r, "mode": "ref_leave"}
                 pkt = self.kernel.new_packet(MESH_LEAVE, nid, 2, payload, dst=peer)
-                pkt.payload["route"] = ()
                 self.kernel.transmit(nid, pkt)
         self._gc_entry(nid, key)
         self._ensure_upstream(nid, key)
@@ -1089,7 +1030,7 @@ class MulticastService:
         hops = self._hops_to_mesh(nid, key)
         new_entry = {"path": [new_peer], "stability": 1.0, "active": True}
         ent.upstream_paths.append(new_entry)
-        self._walk_join(nid, key, [new_peer], active=True)
+        self._walk_join(nid, key, [new_peer], nid, active=True)
         for p in active:
             p["active"] = False
             self._walk_mode(nid, key, p["path"], "downgrade")
@@ -1131,33 +1072,17 @@ class MulticastService:
             inner = {"detail": {"graft": nid, "stab": stab},
                      "join_key": list(key), "probe": True,
                      "qpath": list(pkt.path_record)}
-            self.rr._reply_source_routed(nid, pkt, JOIN_REPLY, inner,
-                                         pkt.payload["origin"])
+            self._reply(nid, pkt, JOIN_REPLY, inner, pkt.payload["origin"])
             return
         self._probe_forward(nid, pkt)
 
     def _probe_forward(self, nid, pkt):
-        if pkt.ttl_hops <= 1:
-            return
-        goal = pkt.payload["pos"]
-        me = self.kernel.nodes[nid]
-        my_d = math.hypot(me.x - goal[0], me.y - goal[1])
-        best, best_d = None, my_d
-        for nbr in self.kernel.sorted_neighbors(nid):
-            n = self.kernel.nodes[nbr]
-            d = math.hypot(n.x - goal[0], n.y - goal[1])
-            if d < best_d:
-                best, best_d = nbr, d
-        if best is None:
-            target = pkt.payload["target"]
-            if target in self.kernel.neighbors(nid):
-                best = target
-            else:
-                return
-        out = pkt.hop_copy()
-        out.ttl_hops -= 1
-        out.dst = best
-        self.kernel.transmit(nid, out)
+        """Greedy step toward the sender's last position, else to the sender itself."""
+        nxt = self.kernel.closer_node(nid, pkt.payload["pos"])
+        if nxt is None and self.kernel.are_neighbors(nid, pkt.payload["target"]):
+            nxt = pkt.payload["target"]
+        if nxt is not None:
+            self.kernel.forward(nid, pkt, nxt)
 
     def _probe_result(self, nid, key, inner):
         path = list(inner.get("qpath", []))
@@ -1202,20 +1127,16 @@ class MulticastService:
     def _pop_group_query(self, nid, key):
         pop = self.kernel.nodes[nid].mcast.pop[key]
         pop["replies"] = {"members": set(), "sds": set()}
-        mine = self._pop_eval(nid, key)
-        if mine is not None:
-            if mine.get("member") is not None:
-                pop["replies"]["members"].add(nid)
-            if mine.get("sds") is not None:
-                pop["replies"]["sds"].add(nid)
+        self._collect_pop_reply(nid, key, self._pop_eval(nid, key) or {})
         R = self.zone.config.radius_R
         payload = {"group": list(key), "origin": nid, "q": "pop", "stab": 1.0}
         pkt = self.kernel.new_packet(GROUP_QUERY, nid, R, payload)
         self.kernel.nodes[nid].mcast.seen.add(("pq",) + pkt.pid)
         self.kernel.transmit(nid, pkt)
         pred = {"kind": "pop_query", "group": key}
-        self.contacts.contact_query(nid, pred, self._pop_contact_reply(nid, key),
-                                    timeout_s=self.config.group_query_window_s)
+        self.contacts.contact_query(
+            nid, pred, lambda detail, qpath: self._collect_pop_reply(nid, key, detail),
+            timeout_s=self.config.group_query_window_s)
         self.kernel.schedule_in(int(self.config.group_query_window_s * US),
                                 self.popularity_update, nid, key)
 
@@ -1231,8 +1152,7 @@ class MulticastService:
         detail = self._pop_eval(nid, key)
         if detail is not None:
             inner = {"pop": detail, "join_key": list(key)}
-            self.rr._reply_source_routed(nid, pkt, GROUP_QUERY_REPLY, inner,
-                                         pkt.payload["origin"])
+            self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
         if pkt.ttl_hops > 1:
             pkt.ttl_hops -= 1
             self.kernel.transmit(nid, pkt)
@@ -1249,27 +1169,15 @@ class MulticastService:
             out["sds"] = nid
         return out or None
 
-    def _pop_contact_reply(self, nid, key):
-        def cb(detail, qpath):
-            pop = self.kernel.nodes[nid].mcast.pop.get(key)
-            if pop is None or not pop.get("pending"):
-                return
-            if detail.get("member") is not None:
-                pop["replies"]["members"].add(detail["member"])
-            if detail.get("sds") is not None:
-                pop["replies"]["sds"].add(detail["sds"])
-        return cb
-
-    def _collect_pop_reply(self, nid, inner):
-        key = tuple(inner["join_key"])
+    def _collect_pop_reply(self, nid, key, detail):
+        """Count one answer to an open popularity query (own, flood or contact)."""
         pop = self.kernel.nodes[nid].mcast.pop.get(key)
         if pop is None or not pop.get("pending"):
             return
-        det = inner["pop"]
-        if det.get("member") is not None:
-            pop["replies"]["members"].add(det["member"])
-        if det.get("sds") is not None:
-            pop["replies"]["sds"].add(det["sds"])
+        if detail.get("member") is not None:
+            pop["replies"]["members"].add(detail["member"])
+        if detail.get("sds") is not None:
+            pop["replies"]["sds"].add(detail["sds"])
 
     def popularity_update(self, nid, key):
         """Close the group query window; promote when pop_est exceeds the threshold."""
@@ -1300,22 +1208,17 @@ class MulticastService:
         pkt = self.kernel.new_packet(SDS_ADVERT, nid, R, payload)
         self.kernel.nodes[nid].mcast.seen.add(("lsa",) + pkt.pid)
         self.kernel.transmit(nid, pkt)
-        for cid in sorted(self.kernel.nodes[nid].contacts.entries):
-            entry = self.kernel.nodes[nid].contacts.entries[cid]
-            out = self.kernel.new_packet(SDS_ADVERT, nid, len(entry.route) + 1,
-                                         dict(payload, route=tuple(entry.route)),
-                                         dst=entry.route[0])
-            self.kernel.transmit(nid, out)
+        entries = self.kernel.nodes[nid].contacts.entries
+        for cid in sorted(entries):
+            self.kernel.source_route(nid, SDS_ADVERT, entries[cid].route,
+                                     dict(payload))
 
     def _on_local_sds_advert(self, nid, pkt, rx_power, sender):
+        """Zone-scoped flood, or a source-routed copy to a contact."""
         state = self.kernel.nodes[nid].mcast
         route = pkt.payload.get("route")
-        if route:
-            pkt.path_record.append(nid)
-            pos = route.index(nid)
-            if pos + 1 < len(route):
-                self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
-                return
+        if route and self.kernel.relay(nid, pkt):
+            return
         dd = ("lsa",) + pkt.pid
         if dd in state.seen:
             return
@@ -1323,23 +1226,17 @@ class MulticastService:
         key = tuple(pkt.payload["group"])
         self.kernel.nodes[nid].sds.known_local_sds.setdefault(key, {})[
             pkt.payload["origin"]] = self.kernel.now_us
-        if not route and pkt.ttl_hops > 1:
-            relay = pkt.hop_copy()
-            relay.ttl_hops -= 1
-            self.kernel.transmit(nid, relay)
+        if not route:
+            self.kernel.forward(nid, pkt, None)
 
     def _rr_group_sync(self, nid, pkt):
         """A popularity-promoted local SDS pulls the region's sender records."""
         inner = pkt.payload["inner"]
         key = tuple(inner["group"])
-        senders = self.rr.live_senders(nid, key)
-        detail = {"senders": {sid: {"pos": m["pos"], "route": m["route"],
-                                    "stab": None}
-                              for sid, m in senders.items()}}
+        detail = senders_detail(self.rr.live_senders(nid, key))
         reply = {"detail": detail, "join_key": list(key),
                  "sync_for": inner["origin"]}
-        self.rr._reply_source_routed(nid, pkt, GROUP_QUERY_REPLY, reply,
-                                     inner["origin"])
+        self._reply(nid, pkt, GROUP_QUERY_REPLY, reply, inner["origin"])
 
     def _absorb_group_sync(self, nid, inner):
         key = tuple(inner["join_key"])

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .kernel import (US, GEOCAST, LAR_FORWARD, SDS_SYNC, SESSION_REPLY,
                      ConfigError)
-from .zone import reverse_route
 
 WELL_KNOWN_PREFIX = 0
 WELL_KNOWN_SUFFIX = 0
@@ -146,7 +145,7 @@ class RendezvousManager:
         kernel.register_handler(GEOCAST, self._on_geocast)
         kernel.register_handler(LAR_FORWARD, self._on_lar)
         kernel.register_handler(SDS_SYNC, self._on_lar)
-        kernel.register_handler(SESSION_REPLY, self._on_source_routed)
+        kernel.register_handler(SESSION_REPLY, self._on_session_reply)
         self.register_geocast_handler("sds_advert", self._geo_sds_advert)
         self.register_geocast_handler("sds_leave", self._geo_sds_leave)
         self.register_geocast_handler("session_update", self._geo_session_update)
@@ -157,7 +156,6 @@ class RendezvousManager:
         self.register_rr_handler("session_announce", self._rr_session_announce)
         self.register_rr_handler("sds_leave_rr", self._rr_sds_leave)
         self.point_handlers["sds_sync"] = self._point_sds_sync
-        self._source_route_terminals = {SESSION_REPLY: self._terminal_session_reply}
         zone_mgr.register_evaluator(self._eval_sds_for)
 
     # -- registration points for other layers ------------------------------------
@@ -261,8 +259,8 @@ class RendezvousManager:
         state = self.kernel.nodes[nid].sds
         if not state.prefixes:
             return
-        last = getattr(state, "last_advert_us", 0)
-        if self.kernel.now_us - last >= int(self.config.readvert_period_s * US):
+        period = int(self.config.readvert_period_s * US)
+        if self.kernel.now_us - state.last_advert_us >= period:
             state.last_advert_us = self.kernel.now_us
             for prefix in sorted(state.prefixes):
                 self._advertise_sds(nid, prefix, new=False)
@@ -323,12 +321,9 @@ class RendezvousManager:
 
     def _point_sds_sync(self, nid, pkt):
         inner = pkt.payload["inner"]
-        self._merge_records(nid, inner["records"])
+        self._merge_region_state(nid, inner)
         state = self.kernel.nodes[nid].sds
         prefix = inner["prefix"]
-        sess = state.sessions.setdefault(prefix, {})
-        for suffix, meta in inner["sessions"].items():
-            sess.setdefault(suffix, meta)
         for name, meta in inner.get("announcements", {}).items():
             state.announcements.setdefault(name, meta)
         for sid, (t, pos) in inner.get("known", {}).items():
@@ -352,14 +347,12 @@ class RendezvousManager:
         state.known_sds.setdefault(prefix, {})[inner["origin"]] = (
             self.kernel.now_us, None)
         if prefix in state.prefixes:
-            self._merge_records(nid, inner["records"])
-            sess = state.sessions.setdefault(prefix, {})
-            for suffix, meta in inner["sessions"].items():
-                sess.setdefault(suffix, meta)
+            self._merge_region_state(nid, inner)
 
-    def _merge_records(self, nid, records):
+    def _merge_region_state(self, nid, inner):
+        """Absorb another server's sender records and sessions for its prefix."""
         state = self.kernel.nodes[nid].sds
-        for key, senders in records.items():
+        for key, senders in inner["records"].items():
             key = tuple(key)
             mine = state.records.setdefault(key, {})
             for sid, meta in senders.items():
@@ -367,6 +360,9 @@ class RendezvousManager:
                 cur = mine.get(sid)
                 if cur is None or cur["t_us"] < meta["t_us"]:
                     mine[sid] = dict(meta)
+        sess = state.sessions.setdefault(inner["prefix"], {})
+        for suffix, meta in inner["sessions"].items():
+            sess.setdefault(suffix, meta)
 
     def record_sender(self, nid, group_key, sender, pos, route=None):
         state = self.kernel.nodes[nid].sds
@@ -423,17 +419,12 @@ class RendezvousManager:
         if handler is not None and not local:
             handler(nid, pkt, in_region)
         if (in_region or local) and pkt.ttl_hops > 1:
-            relay = pkt.hop_copy()
-            relay.ttl_hops -= 1
             if not local:
                 self.kernel.trace(nid, "geocast_rebroadcast",
                                   {"k": pkt.payload["inner_kind"]})
-            self.kernel.transmit(nid, relay)
+            self.kernel.forward(nid, pkt, None)
 
     # -- lollipop-LAR ---------------------------------------------------------
-
-    def lollipop_lar_forward(self, origin, prefix, inner_kind, inner, l=None):
-        return self.lar_send(origin, prefix, inner_kind, inner, l=l)
 
     def lar_send(self, origin, prefix, inner_kind, inner, l=None,
                  dst_node=None, dst_pos=None, kind=LAR_FORWARD):
@@ -462,7 +453,7 @@ class RendezvousManager:
         if leg and nid in leg:
             pos = leg.index(nid)
             if pos + 1 < len(leg):
-                self.kernel.forward(nid, pkt.hop_copy(), leg[pos + 1])
+                self.kernel.forward(nid, pkt, leg[pos + 1])
                 return
         self._lar_decide(nid, pkt)
 
@@ -511,27 +502,13 @@ class RendezvousManager:
         return list(entries[best].route) if best is not None else None
 
     def _lar_greedy(self, nid, pkt, goal):
-        my_d = math.hypot(self.kernel.nodes[nid].x - goal[0],
-                          self.kernel.nodes[nid].y - goal[1])
-        best, best_d = None, my_d
-        for nbr in self.kernel.sorted_neighbors(nid):
-            n = self.kernel.nodes[nbr]
-            d = math.hypot(n.x - goal[0], n.y - goal[1])
-            if d < best_d:
-                best, best_d = nbr, d
+        best = self.kernel.closer_node(nid, goal)
         if best is not None:
             self._lar_leg(nid, pkt, [best], "greedy")
             return
         # local minimum: one-zone detour toward any member strictly closer
         members = self.kernel.nodes[nid].zone.table.members
-        cand, cand_d = None, my_d
-        for m in sorted(members):
-            n = self.kernel.nodes.get(m)
-            if n is None or not n.alive:
-                continue
-            d = math.hypot(n.x - goal[0], n.y - goal[1])
-            if d < cand_d:
-                cand, cand_d = m, d
+        cand = self.kernel.closer_node(nid, goal, sorted(members))
         if cand is not None:
             route = self.zone.intra_zone_route(nid, cand)
             if route:
@@ -709,8 +686,8 @@ class RendezvousManager:
                           "meta": sessions[suffix]})
         reply_inner = {"name": inner["name"], "addr": [prefix, suffix],
                        "rejected_requested": rejected}
-        self._reply_source_routed(nid, pkt, SESSION_REPLY, reply_inner,
-                                  inner["initiator"])
+        self.kernel.source_reply(nid, pkt, SESSION_REPLY, {"inner": reply_inner},
+                                 inner["initiator"])
 
     def _geo_session_update(self, nid, pkt, in_region):
         inner = pkt.payload["inner"]
@@ -733,30 +710,9 @@ class RendezvousManager:
         if WELL_KNOWN_PREFIX in state.prefixes:
             state.announcements.setdefault(ann["name"], dict(ann))
 
-    def _reply_source_routed(self, nid, pkt, kind, inner, final_dst):
-        back = reverse_route(pkt.path_record, final_dst) if pkt.path_record else []
-        if not back or back == [nid]:
-            terminal = self._source_route_terminals.get(kind)
-            if terminal is not None:
-                fake = self.kernel.new_packet(kind, nid, 1, {"inner": inner})
-                terminal(final_dst, fake)
+    def _on_session_reply(self, nid, pkt, rx_power, sender):
+        if self.kernel.relay(nid, pkt):
             return
-        payload = {"route": tuple(back), "inner": inner}
-        out = self.kernel.new_packet(kind, nid, len(back) + 1, payload, dst=back[0])
-        self.kernel.transmit(nid, out)
-
-    def _on_source_routed(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
-        pos = route.index(nid)
-        if pos + 1 < len(route):
-            self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
-            return
-        terminal = self._source_route_terminals.get(pkt.kind)
-        if terminal is not None:
-            terminal(nid, pkt)
-
-    def _terminal_session_reply(self, nid, pkt):
         inner = pkt.payload["inner"]
         pending = self._pending_sessions.get((nid, inner["name"]))
         if pending is None or pending["confirmed"]:

@@ -7,21 +7,15 @@ keeps to one hop). A node joining a link additionally receives the peer's
 advert cache, so newcomers converge without waiting for refloods. Zone tables
 are rebuilt by bounded BFS over the advert set; an edge is accepted only when
 both endpoints' adverts (or the owner's own neighbor set) confirm it, which
-purges stale members as soon as the fresher side updates.
+purges stale members as soon as the fresher side updates. Bordercast queries
+and their replies travel as kernel source-routed packets; a reply retraces
+the query's recorded path (kernel.reverse_route).
 """
 
 from dataclasses import dataclass, field
 
 from .kernel import (US, BORDERCAST_QUERY, BORDERCAST_REPLY, HELLO,
-                     ZONE_LINK_STATE, ConfigError)
-
-
-def reverse_route(path_record, origin):
-    """Reply route for a recorded query path, cut at origin's first appearance."""
-    back = list(reversed(path_record[:-1])) + [origin]
-    if origin in back[:-1]:
-        back = back[:back.index(origin) + 1]
-    return back
+                     ZONE_LINK_STATE, ConfigError, reverse_route)
 
 
 @dataclass
@@ -49,7 +43,7 @@ class ZoneState:
     """Per-node zone-routing state."""
 
     __slots__ = ("table", "adverts", "parents", "my_seq", "dirty", "recompute_pending",
-                 "advert_dirty", "seen_queries", "query_results")
+                 "advert_dirty", "seen_queries")
 
     def __init__(self, owner, radius):
         self.table = ZoneTable(owner, radius)
@@ -60,7 +54,6 @@ class ZoneState:
         self.recompute_pending = False
         self.advert_dirty = False
         self.seen_queries = set()
-        self.query_results = {}
 
 
 class ZoneRouting:
@@ -131,10 +124,7 @@ class ZoneRouting:
         zone.adverts[origin] = (seq, frozenset(pkt.payload["nbrs"]),
                                 pkt.payload["contacts"])
         self._mark_dirty(nid)
-        if pkt.ttl_hops > 1:
-            relay = pkt.hop_copy()
-            relay.ttl_hops -= 1
-            self.kernel.transmit(nid, relay)
+        self.kernel.forward(nid, pkt, None)
 
     def _on_link_change(self, nid, added, removed):
         node = self.kernel.nodes[nid]
@@ -242,9 +232,6 @@ class ZoneRouting:
     def table(self, nid):
         return self.kernel.node(nid).zone.table
 
-    def border_nodes(self, table):
-        return set(table.border_set)
-
     def intra_zone_route(self, nid, dest):
         """Shortest path owner->dest inside the zone, excluding the owner; None if outside."""
         zone = self.kernel.node(nid).zone
@@ -295,8 +282,6 @@ class ZoneRouting:
         self.activity_fn(nid)
         local = self.evaluate(nid, pred)
         if local is not None:
-            self.kernel.nodes[nid].zone.query_results.setdefault(qid, []).append(
-                (local, []))
             if on_reply is not None:
                 on_reply(local, [])
             return qid
@@ -313,20 +298,14 @@ class ZoneRouting:
             if not route:
                 continue
             payload = {"qid": qid, "pred": pred, "budget": budget,
-                       "origin": origin, "route": tuple(route)}
-            pkt = self.kernel.new_packet(BORDERCAST_QUERY, nid,
-                                         len(route) + 1, payload, dst=route[0])
-            pkt.path_record = list(prior_path)
-            self.kernel.transmit(nid, pkt)
+                       "origin": origin}
+            self.kernel.source_route(nid, BORDERCAST_QUERY, route, payload,
+                                     prior_path)
 
     def _on_query(self, nid, pkt, rx_power, sender):
         if nid in pkt.path_record:
             return  # keep query paths simple; a revisit would loop
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
-        pos = route.index(nid)
-        if pos + 1 < len(route):
-            self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
+        if self.kernel.relay(nid, pkt):
             return
         # reached a border node: evaluate, else re-bordercast
         qid = pkt.payload["qid"]
@@ -345,24 +324,13 @@ class ZoneRouting:
     def _send_reply(self, nid, query_pkt, detail):
         back = reverse_route(query_pkt.path_record, query_pkt.payload["origin"])
         payload = {"qid": query_pkt.payload["qid"], "detail": detail,
-                   "query_path": list(query_pkt.path_record), "route": tuple(back)}
-        pkt = self.kernel.new_packet(BORDERCAST_REPLY, nid, len(back) + 1,
-                                     payload, dst=back[0])
+                   "query_path": list(query_pkt.path_record)}
         self.kernel.trace(nid, "bordercast_reply", {"hops": len(back)})
-        self.kernel.transmit(nid, pkt)
+        self.kernel.source_route(nid, BORDERCAST_REPLY, back, payload)
 
     def _on_reply(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        route = pkt.payload["route"]
-        pos = route.index(nid)
-        if pos + 1 < len(route):
-            self.kernel.forward(nid, pkt.hop_copy(), route[pos + 1])
+        if self.kernel.relay(nid, pkt):
             return
-        qid = pkt.payload["qid"]
-        detail = pkt.payload["detail"]
-        qpath = pkt.payload["query_path"]
-        self.kernel.nodes[nid].zone.query_results.setdefault(qid, []).append(
-            (detail, qpath))
-        cb = self.query_callbacks.get(qid)
+        cb = self.query_callbacks.get(pkt.payload["qid"])
         if cb is not None:
-            cb(detail, qpath)
+            cb(pkt.payload["detail"], pkt.payload["query_path"])

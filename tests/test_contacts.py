@@ -245,7 +245,7 @@ def test_broken_contact_route_is_maintained_after_timeout():
     run_s(sim, 2.0)
     assert got == []
     entry = sim.contacts.entries(0).get(4)
-    assert entry is None or sim.contacts._route_valid(0, entry.route)
+    assert entry is None or sim.kernel.route_intact(0, entry.route)
 
 
 def test_member_and_contact_sets_disjoint_under_mobility():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from mcastsim.kernel import US, HELLO, ConfigError, FatalSimError, Kernel, RadioModel
 
-from conftest import make_sim
+from conftest import make_sim, run_s
 
 
 def bare_kernel(positions, range_m=250.0, n_exp=2.0, seed=0, trace_packets=False):
@@ -119,17 +119,28 @@ def test_power_falls_by_four_when_distance_doubles():
     assert rm.received_power(20.0) == pytest.approx(rm.received_power(10.0) / 4.0)
 
 
+def hello_log(k):
+    """Register a HELLO handler; returns the list of (nid, rx_power) it sees."""
+    got = []
+    k.register_handler(HELLO, lambda nid, pkt, rx, sender: got.append((nid, rx)))
+    return got
+
+
 def test_transmit_delivers_to_every_neighbor():
     k = bare_kernel([(0, 0), (100, 0), (0, 100), (70, 70), (900, 900)],
                     range_m=150.0)
-    pkt = k.new_packet(HELLO, 0, 1)
-    deliveries = k.transmit(0, pkt)
-    assert [d[0] for d in deliveries] == [1, 2, 3]
+    got = hello_log(k)
+    k.transmit(0, k.new_packet(HELLO, 0, 1))
+    k.run_until(US)
+    assert [nid for nid, _ in got] == [1, 2, 3]
 
 
 def test_transmit_annotates_received_power():
     k = bare_kernel([(0, 0), (100, 0)], range_m=150.0)
-    (nid, power), = k.transmit(0, k.new_packet(HELLO, 0, 1))
+    got = hello_log(k)
+    k.transmit(0, k.new_packet(HELLO, 0, 1))
+    k.run_until(US)
+    (nid, power), = got
     assert nid == 1
     assert power == pytest.approx(k.radio.tx_power_w / 100.0 ** 2)
 
@@ -177,3 +188,74 @@ def test_identical_runs_identical_traces():
         return trace_to_jsonl(sim.run())
 
     assert one() == one()
+
+
+# -- source routing ---------------------------------------------------------------
+
+ROUTED = "test_routed"
+
+
+def routed_log(k):
+    """Register a relaying handler; returns the (nid, path_record, ttl) of each
+    packet that reached its last hop."""
+    got = []
+
+    def handler(nid, pkt, rx, sender):
+        if not k.relay(nid, pkt):
+            got.append((nid, list(pkt.path_record), pkt.ttl_hops))
+    k.register_handler(ROUTED, handler)
+    return got
+
+
+def test_source_routed_packet_reaches_last_hop_once(static_line):
+    k = static_line.kernel
+    got = routed_log(k)
+    route = [1, 2, 3, 4]
+    k.source_route(0, ROUTED, route, {})
+    run_s(static_line, 1.0)
+    # sent with TTL len(route) + 1, three relays spend three: one hop to spare
+    assert got == [(4, route, 2)]
+    assert k.packet_counts[ROUTED] == len(route)
+
+
+def test_ttl_of_route_length_is_the_minimum(static_line):
+    k = static_line.kernel
+    got = routed_log(k)
+    route = (1, 2, 3, 4)
+    for ttl in (len(route), len(route) - 1):
+        k.transmit(0, k.new_packet(ROUTED, 0, ttl, {"route": route}, dst=route[0]))
+    run_s(static_line, 1.0)
+    assert got == [(4, list(route), 1)]
+
+
+def test_relay_to_non_adjacent_hop_counts_and_dispatches_nothing(static_line):
+    k = static_line.kernel
+    seen = []
+
+    def handler(nid, pkt, rx, sender):
+        seen.append(nid)
+        k.relay(nid, pkt)
+    k.register_handler(ROUTED, handler)
+    k.source_route(0, ROUTED, [1, 5], {})     # 5 is four hops from 1
+    run_s(static_line, 1.0)
+    assert seen == [1]
+    assert k.packet_counts[ROUTED] == 2        # the relay from 1 still transmits
+
+
+def test_source_reply_without_a_path_reaches_origin_directly(static_line):
+    k = static_line.kernel
+    got = routed_log(k)
+    query = k.new_packet("test_query", 3, 1)
+    k.source_reply(3, query, ROUTED, {}, origin=6)
+    assert got == [(6, [6], 1)]
+    assert ROUTED not in k.packet_counts
+
+
+def test_greedy_step_and_route_probe(static_line):
+    k = static_line.kernel
+    x8 = k.nodes[8].pos()
+    assert k.closer_node(4, x8) == 5
+    assert k.closer_node(8, x8) is None
+    assert k.closer_node(4, x8, [6, 7, 2]) == 7
+    assert k.route_intact(0, [1, 2, 3])
+    assert not k.route_intact(0, [1, 3])
