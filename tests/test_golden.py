@@ -135,3 +135,22 @@ def test_every_source_routed_kind_is_exercised():
         for kind in SOURCE_ROUTED_KINDS:
             totals[kind] += counters.get(kind, 0)
     assert [k for k, n in totals.items() if n == 0] == []
+
+
+def test_every_merged_mechanism_is_exercised():
+    """Each zone flood, the local-flood answer, the pop flood and each LAR leg
+    mode runs in at least one scenario, so the digests cover them."""
+    kinds = dict.fromkeys(("adv", "join_query", "group_query", "sds_advert"), 0)
+    events = []
+    for name in SCENARIOS:
+        trace = run(name)[0]
+        counters, = [e[3] for e in trace if e[2] == "counters"]
+        for kind in kinds:
+            kinds[kind] += counters.get(kind, 0)
+        events += trace
+    assert [k for k, n in kinds.items() if n == 0] == []
+    assert any(e[2] == "pop_promote" for e in events)
+    assert any(e[2] == "join_stage" and e[3]["stage"] == 3
+               and e[3]["status"] == "success" for e in events)
+    modes = {e[3]["mode"] for e in events if e[2] == "lar_hop"}
+    assert {"greedy", "direct", "detour", "rr_local"} <= modes

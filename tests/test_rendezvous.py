@@ -262,6 +262,27 @@ def test_contact_chain_distance_strictly_decreases():
     assert all(a > b for a, b in zip(dists, dists[1:])) or len(dists) == 1
 
 
+def test_contact_leg_is_relayed_hop_by_hop():
+    sim = lar_line_sim()
+    sim.rr.sds_on_promote(16, 3)
+    for node in sim.kernel.nodes.values():
+        node.contacts.entries.clear()
+    install_contact_route(sim, 0, 5, [1, 2, 3, 4, 5])
+    run_s(sim, 1.0)
+    got = []
+    sim.rr.register_rr_handler("probe", lambda nid, pkt: got.append((nid, pkt)))
+    start = len(sim.kernel.trace_events)
+    sim.rr.lar_send(0, 3, "probe", {})
+    run_s(sim, 1.0)
+    hops = [(e[1], e[3]["mode"], e[3]["to"]) for e in sim.kernel.trace_events[start:]
+            if e[2] == "lar_hop"]
+    assert hops[0] == (0, "contact", 1)
+    assert [m for _, m, _ in hops[1:]] == ["greedy"] * 11
+    (nid, pkt), = got
+    assert nid == 16
+    assert pkt.path_record == list(range(1, 17))
+
+
 def test_greedy_fallback_matches_shortest_path_oracle():
     sim = lar_line_sim()
     sim.rr.sds_on_promote(16, 3)
