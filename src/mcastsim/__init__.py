@@ -3,13 +3,13 @@ zone-plus-contact hierarchy, geographic rendezvous-region address allocation,
 sender-discovery-server anycast, and mesh multicast with on-demand activation."""
 
 from .kernel import Kernel, Packet, RadioModel, ConfigError, FatalSimError
-from .rendezvous import GroupAddress, RendezvousRegion, WELL_KNOWN_GROUP
+from .rendezvous import GroupAddress, WELL_KNOWN_GROUP
 from .scenario import Scenario, from_dict, load_scenario
 from .sim import Simulation, run_scenario
 
 __all__ = [
     "Kernel", "Packet", "RadioModel", "ConfigError", "FatalSimError",
-    "GroupAddress", "RendezvousRegion", "WELL_KNOWN_GROUP",
+    "GroupAddress", "WELL_KNOWN_GROUP",
     "Scenario", "from_dict", "load_scenario", "Simulation", "run_scenario",
 ]
 

@@ -45,10 +45,7 @@ class SelectionInputs:
 class ContactEntry:
     contact: int
     route: list                         # owner -> contact, owner excluded
-    established_at_us: int
     last_refresh_us: int
-    s_est: float
-    e_est_contact: float
     capabilities: dict = field(default_factory=dict)
     approx_pos: tuple = (0.0, 0.0)
 
@@ -241,10 +238,9 @@ class ContactManager:
         route = self._route_via_borders(nid, cand)
         if route is None:
             return
-        now = self.kernel.now_us
-        entry = ContactEntry(contact=cand, route=route, established_at_us=now,
-                             last_refresh_us=now, s_est=0.0, e_est_contact=0.0)
-        self._refresh(nid, entry)
+        entry = ContactEntry(contact=cand, route=route,
+                             last_refresh_us=self.kernel.now_us)
+        self._refresh(entry)
         self.kernel.nodes[nid].contacts.entries[cand] = entry
         self.kernel.trace(nid, "contact_add", {"contact": cand, "hops": len(route)})
 
@@ -275,21 +271,18 @@ class ContactManager:
         if cid in node.zone.table.members:
             return self._drop(nid, cid, "rezoned")
         if self.kernel.route_intact(nid, entry.route) and len(entry.route) <= bound:
-            self._refresh(nid, entry)
+            self._refresh(entry)
             return entry
         repaired = self._route_via_borders(nid, cid)
         if repaired is None:
             return self._drop(nid, cid, "unreachable")
         entry.route = repaired
-        self._refresh(nid, entry)
+        self._refresh(entry)
         return entry
 
-    def _refresh(self, nid, entry):
-        cnode = self.kernel.nodes[entry.contact]
+    def _refresh(self, entry):
         entry.last_refresh_us = self.kernel.now_us
-        entry.s_est = self.mobility.stability(nid, entry.contact)
-        entry.e_est_contact = self.kernel.energy_left(entry.contact) / cnode.drain_w
-        entry.approx_pos = cnode.pos()
+        entry.approx_pos = self.kernel.nodes[entry.contact].pos()
         entry.capabilities = self._capabilities(entry.contact)
 
     def _drop(self, nid, cid, why):

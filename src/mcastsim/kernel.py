@@ -142,16 +142,9 @@ class Kernel:
         self._nbr_sorted = {}      # nid -> tuple, rebuilt (not mutated) per rebuild
         self._link_listeners = []
         self.handlers = {}         # packet kind -> fn(nid, packet, rx_power, sender)
-        self.power_kinds = {HELLO}  # kinds whose deliveries carry power samples
         self.packet_counts = {}    # kind -> transmissions
         self.trace_events = []     # (t_us, node, kind, detail)
         self.debug_hook = None     # called after every processed event
-
-    # -- time ---------------------------------------------------------------
-
-    @property
-    def now_s(self):
-        return self.now_us / US
 
     # -- nodes and links ----------------------------------------------------
 
@@ -174,7 +167,7 @@ class Kernel:
 
     def energy_left(self, nid):
         node = self.node(nid)
-        return max(0.0, node.energy_j - node.drain_w * self.now_s)
+        return max(0.0, node.energy_j - node.drain_w * self.now_us / US)
 
     def kill_node(self, nid):
         """Remove a node from the radio graph (failure/partition directives)."""
@@ -233,10 +226,6 @@ class Kernel:
     def are_neighbors(self, a, b):
         return b in self._nbr_sets[a]
 
-    def distance(self, a, b):
-        na, nb = self.node(a), self.node(b)
-        return math.hypot(na.x - nb.x, na.y - nb.y)
-
     # -- events ---------------------------------------------------------------
 
     def schedule_at(self, t_us, fn, *args):
@@ -286,8 +275,8 @@ class Kernel:
 
         Every current neighbor receives a copy after the one-hop latency;
         handler dispatch is limited to packet.dst when set (unicast processing).
-        Received power is computed for kinds in power_kinds (hellos, which feed
-        the mobility metric); other deliveries carry None.
+        Received power is computed for hellos, which feed the mobility metric;
+        other deliveries carry None.
         """
         snode = self.node(sender)
         if packet.ttl_hops <= 0:
@@ -295,7 +284,7 @@ class Kernel:
         self.packet_counts[packet.kind] = self.packet_counts.get(packet.kind, 0) + 1
         receivers = self._nbr_sorted[sender]
         powers = None
-        if packet.kind in self.power_kinds:
+        if packet.kind == HELLO:
             received = self.radio.received_power
             sx, sy = snode.x, snode.y
             nodes = self.nodes

@@ -39,11 +39,10 @@ class MobilityConfig:
 class LinkHistory:
     """Per-peer observation record: bounded power-sample ring plus open interval."""
 
-    __slots__ = ("peer", "samples", "up_since_us")
+    __slots__ = ("samples", "up_since_us")
 
-    def __init__(self, peer, ring_capacity=8):
-        self.peer = peer
-        self.samples = deque(maxlen=ring_capacity)  # (t_us, watts)
+    def __init__(self):
+        self.samples = deque(maxlen=8)  # (t_us, watts)
         self.up_since_us = None
 
     def add_sample(self, t_us, power_w):
@@ -59,18 +58,17 @@ class LinkHistory:
 class NodeMobility:
     """Per-node mobility state: movement model progress and link observations."""
 
-    def __init__(self, ring_capacity=8):
+    def __init__(self):
         self.target = None        # waypoint target (x, y)
         self.speed = 0.0
         self.pause_until_us = 0
         self.histories = {}       # peer -> LinkHistory
         self.completed_s = []     # pooled completed up-interval durations (seconds)
-        self.ring_capacity = ring_capacity
 
     def history(self, peer):
         h = self.histories.get(peer)
         if h is None:
-            h = LinkHistory(peer, self.ring_capacity)
+            h = LinkHistory()
             self.histories[peer] = h
         return h
 
@@ -132,13 +130,10 @@ def stability_estimate(mob, peer, horizon_s, now_us=None, min_samples=5, prior=0
 class MobilityManager:
     """Moves nodes on a fixed step interval and maintains link observations."""
 
-    def __init__(self, kernel, config, availability_horizon_s=2.0,
-                 min_samples=5, prior=0.5):
+    def __init__(self, kernel, config, availability_horizon_s=2.0):
         self.kernel = kernel
         self.config = config
         self.horizon_s = availability_horizon_s
-        self.min_samples = min_samples
-        self.prior = prior
         for node in kernel.nodes.values():
             node.mob = NodeMobility()
         kernel.on_link_change(self._on_link_change)
@@ -239,9 +234,8 @@ class MobilityManager:
 
     def stability(self, nid, peer):
         return stability_estimate(self.kernel.nodes[nid].mob, peer,
-                                  self.horizon_s, self.kernel.now_us,
-                                  self.min_samples, self.prior)
+                                  self.horizon_s, self.kernel.now_us)
 
     def availability(self, nid, horizon_s):
         return link_availability(self.kernel.nodes[nid].mob, horizon_s,
-                                 self.kernel.now_us, self.min_samples, self.prior)
+                                 self.kernel.now_us)

@@ -6,9 +6,10 @@ popularity-driven local SDS promotion.
 Mesh state is kept per (node, group) as refcounted links: a link carries the
 set of receiver ids whose active path traverses it (down toward the member,
 up toward the sender) plus standby sets for precomputed alternate paths. A
-link is active while any active reference exists, so the no-black-hole rule
-(members below imply an active branch) holds by construction, and a leave
-deactivates branches exactly as the emptied subtree unwinds.
+link is active exactly while an active reference exists, so the no-black-hole
+rule (members below imply an active branch) holds by construction, and a leave
+deactivates branches exactly as the emptied subtree unwinds. A receiver keeps
+its candidate upstream paths as Upstream records, exactly one of them active.
 """
 
 from dataclasses import dataclass
@@ -45,36 +46,59 @@ def senders_detail(senders):
 class Link:
     """One mesh adjacency for a group at a node."""
 
-    __slots__ = ("down_members", "up_for", "standby_down", "standby_up",
-                 "override", "last_us")
+    __slots__ = ("down_members", "up_for", "standby_down", "standby_up", "last_us")
 
     def __init__(self, now_us):
         self.down_members = set()   # receiver ids actively served below via this peer
         self.up_for = set()         # receiver ids whose active path continues above
         self.standby_down = set()
         self.standby_up = set()
-        self.override = False
         self.last_us = now_us
 
     def active(self):
-        return bool(self.down_members) or bool(self.up_for) or self.override
+        return bool(self.down_members) or bool(self.up_for)
 
     def empty(self):
         return not (self.down_members or self.up_for or self.standby_down
-                    or self.standby_up or self.override)
+                    or self.standby_up)
+
+
+class Upstream:
+    """One of a receiver's candidate paths toward the mesh (first hop first)."""
+
+    __slots__ = ("path", "stability", "active")
+
+    def __init__(self, path, stability, active):
+        self.path = path
+        self.stability = stability
+        self.active = active
+
+
+def best_standby(paths):
+    """The most stable, then shortest, inactive path; the earliest on ties."""
+    return min((p for p in paths if not p.active),
+               key=lambda p: (-p.stability, len(p.path)), default=None)
 
 
 class MeshEntry:
-    __slots__ = ("roles", "links", "upstream_paths", "last_data_us", "seen_data",
-                 "adv_seq")
+    __slots__ = ("roles", "links", "upstream_paths", "seen_data", "adv_seq")
 
     def __init__(self):
         self.roles = set()          # {"sender", "receiver", "forwarder"}
         self.links = {}             # peer -> Link
-        self.upstream_paths = []    # receiver side: {"path","stability","active"}
-        self.last_data_us = 0
+        self.upstream_paths = []    # receiver side: Upstream, at most one active
         self.seen_data = set()      # (src, seq)
         self.adv_seq = 0
+
+    def active_paths(self):
+        return [p for p in self.upstream_paths if p.active]
+
+    def upstream(self, path):
+        """The candidate whose path equals path, or None (paths are unique)."""
+        for p in self.upstream_paths:
+            if p.path == path:
+                return p
+        return None
 
 
 class JoinState:
@@ -97,7 +121,7 @@ class McastState:
         self.adv_cache = {}     # group key -> {sender -> {"path","stab","t_us","pos"}}
         self.joins = {}         # join id -> JoinState
         self.pop = {}           # group key -> popularity bookkeeping
-        self.seen = set()       # flood dedup tokens
+        self.seen = set()       # pids of the zone floods handled here
 
 
 class MulticastService:
@@ -122,7 +146,6 @@ class MulticastService:
             4: config.stage_rr_timeout_s,
         }
         self.mesh_nodes = {}     # group key -> set of node ids holding entries
-        self.receivers = {}      # group key -> set of joined receiver ids
         for node in kernel.nodes.values():
             node.mcast = McastState()
         kernel.register_handler(ADV, self._on_adv)
@@ -184,8 +207,24 @@ class MulticastService:
             ent.links[peer] = link
         return link
 
-    def _note_activity(self, nid):
-        self.contacts.record_discovery(nid)
+    # -- zone-scoped floods: Advs, the stage-3 member query, the popularity query
+    # and local-SDS adverts. A node handles each flooded packet once; the handler
+    # works on its own copy, with itself recorded, and rebroadcasts that copy.
+
+    def _flood_out(self, nid, kind, ttl, payload):
+        pkt = self.kernel.new_packet(kind, nid, ttl, payload)
+        self.kernel.nodes[nid].mcast.seen.add(pkt.pid)
+        self.kernel.transmit(nid, pkt)
+
+    def _flood_in(self, nid, pkt):
+        """nid's recorded copy of a flooded packet, or None when already seen."""
+        seen = self.kernel.nodes[nid].mcast.seen
+        if pkt.pid in seen:
+            return None
+        seen.add(pkt.pid)
+        pkt = pkt.hop_copy()
+        pkt.path_record.append(nid)
+        return pkt
 
     # -- sender side ----------------------------------------------------------------
 
@@ -209,10 +248,8 @@ class MulticastService:
         ttl = min(self.config.adv_ttl, scope_ttl) if scope_ttl else self.config.adv_ttl
         payload = {"group": list(key), "sender": nid, "seq": ent.adv_seq,
                    "pos": node.pos(), "stab": 1.0}
-        pkt = self.kernel.new_packet(ADV, nid, ttl, payload)
-        node.mcast.seen.add(("adv", nid, ent.adv_seq))
         self.kernel.trace(nid, "adv_send", {"g": list(key), "seq": ent.adv_seq})
-        self.kernel.transmit(nid, pkt)
+        self._flood_out(nid, ADV, ttl, payload)
         rect = self.rr.grid.rect_of_prefix(key[0])
         dist = GeoGrid.distance_to_rect(node.pos(), rect)
         if first or dist > self.rr.config.l_limit_m:
@@ -222,29 +259,22 @@ class MulticastService:
                                 self._advertise, nid, key, False, scope_ttl)
 
     def _on_adv(self, nid, pkt, rx_power, sender):
-        state = self.kernel.nodes[nid].mcast
+        pkt = self._flood_in(nid, pkt)
+        if pkt is None:
+            return
         key = tuple(pkt.payload["group"])
         origin = pkt.payload["sender"]
-        dedup = ("adv", origin, pkt.payload["seq"])
-        if dedup in state.seen:
-            return
-        state.seen.add(dedup)
-        record = pkt.path_record + [nid]
         stab = min(pkt.payload["stab"], self.mobility.stability(nid, sender))
-        route = list(reversed(record[:-1])) + [origin]
-        cache = state.adv_cache.setdefault(key, {})
+        route = list(reversed(pkt.path_record[:-1])) + [origin]
+        cache = self.kernel.nodes[nid].mcast.adv_cache.setdefault(key, {})
         cache[origin] = {"path": route, "stab": stab, "t_us": self.kernel.now_us,
                          "pos": tuple(pkt.payload["pos"])}
         sds = self.kernel.nodes[nid].sds
         if key[0] in sds.prefixes or key in sds.local_groups:
             self.rr.record_sender(nid, key, origin, pkt.payload["pos"], route)
         self._pop_observe(nid, key)
-        if pkt.ttl_hops > 1:
-            relay = pkt.hop_copy()
-            relay.path_record = record
-            relay.payload = dict(pkt.payload, stab=stab)
-            relay.ttl_hops -= 1
-            self.kernel.transmit(nid, relay)
+        pkt.payload = dict(pkt.payload, stab=stab)
+        self.kernel.forward(nid, pkt, None)
 
     # -- receiver discovery ------------------------------------------------------------
 
@@ -259,8 +289,7 @@ class MulticastService:
         state.joins[key] = join
         ent = self.entry(nid, key, create=True)
         ent.roles.add("receiver")
-        self.receivers.setdefault(key, set()).add(nid)
-        self._note_activity(nid)
+        self.contacts.record_discovery(nid)
         self._stage_advance(nid, join)
         return join
 
@@ -270,7 +299,7 @@ class MulticastService:
         join = JoinState(key, "session_registry")
         join.on_sessions = on_done
         self.kernel.nodes[nid].mcast.joins[("bootstrap",) + key] = join
-        self._note_activity(nid)
+        self.contacts.record_discovery(nid)
         self._stage_advance(nid, join)
         return join
 
@@ -382,9 +411,7 @@ class MulticastService:
         R = self.zone.config.radius_R
         payload = {"group": list(join.key), "origin": nid, "stab": 1.0,
                    "q": join.query_kind, "stage": join.stage}
-        pkt = self.kernel.new_packet(JOIN_QUERY, nid, R, payload)
-        self.kernel.nodes[nid].mcast.seen.add(("jq",) + pkt.pid)
-        self.kernel.transmit(nid, pkt)
+        self._flood_out(nid, JOIN_QUERY, R, payload)
         self._arm_timeout(nid, join)
 
     def _stage_rr(self, nid, join):
@@ -446,7 +473,7 @@ class MulticastService:
     def _on_group_query(self, nid, pkt, rx_power, sender):
         if self.kernel.relay(nid, pkt):
             return
-        self._note_activity(nid)
+        self.contacts.record_discovery(nid)
         detail = self.zone.evaluate(nid, pkt.payload["pred"])
         if detail is None:
             return
@@ -483,14 +510,10 @@ class MulticastService:
         if pkt.payload.get("q") == "probe":
             self._probe_step(nid, pkt, sender)
             return
-        state = self.kernel.nodes[nid].mcast
-        dd = ("jq",) + pkt.pid
-        if dd in state.seen:
+        pkt = self._flood_in(nid, pkt)
+        if pkt is None:
             return
-        state.seen.add(dd)
-        pkt = pkt.hop_copy()
-        pkt.path_record.append(nid)
-        self._note_activity(nid)
+        self.contacts.record_discovery(nid)
         key = tuple(pkt.payload["group"])
         stab = min(pkt.payload["stab"], self.mobility.stability(nid, sender))
         if pkt.payload["q"] == "group_info":
@@ -504,10 +527,8 @@ class MulticastService:
                      "qpath": list(pkt.path_record)}
             self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
             return
-        if pkt.ttl_hops > 1:
-            pkt.payload = dict(pkt.payload, stab=stab)
-            pkt.ttl_hops -= 1
-            self.kernel.transmit(nid, pkt)
+        pkt.payload = dict(pkt.payload, stab=stab)
+        self.kernel.forward(nid, pkt, None)
 
     def _rr_join_query(self, nid, pkt):
         inner = pkt.payload["inner"]
@@ -540,8 +561,8 @@ class MulticastService:
 
     def _rr_session_query(self, nid, pkt):
         inner = pkt.payload["inner"]
-        ann = self.kernel.nodes[nid].sds.announcements
-        detail = {"sessions": {name: dict(meta) for name, meta in sorted(ann.items())}}
+        detail = (self._eval_session_registry(nid, {"kind": "session_registry"})
+                  or {"sessions": {}})
         reply = {"detail": detail, "join_key": list(inner["group"]),
                  "stage": inner.get("stage"), "qpath": list(pkt.path_record)}
         self._reply(nid, pkt, JOIN_REPLY, reply, inner["origin"])
@@ -552,9 +573,8 @@ class MulticastService:
         out = []
         to_replier = list(query_path)
         if detail.get("graft") is not None:
-            path = to_replier if to_replier else None
-            if detail["graft"] in self.kernel.neighbors(nid):
-                path = [detail["graft"]]
+            graft = detail["graft"]
+            path = [graft] if graft in self.kernel.neighbors(nid) else to_replier
             if path:
                 out.append({"path": path, "stability": detail.get("stab", 0.5),
                             "sender": None, "pos": None})
@@ -585,14 +605,13 @@ class MulticastService:
         concrete.sort(key=lambda c: (-c["stability"], len(c["path"]), tuple(c["path"])))
         ent = self.entry(nid, key, create=True)
         ent.roles.add("receiver")
-        self.receivers.setdefault(key, set()).add(nid)
         launched = 0
         if concrete:
             picked = concrete[:self.config.max_paths]
             self.kernel.trace(nid, "join_request",
                               {"g": list(key), "n": len(picked)})
             for c in picked:
-                want_active = launched == 0 and not self._has_active(nid, key)
+                want_active = launched == 0 and not ent.active_paths()
                 if self._install_upstream(nid, key, c["path"], c["stability"],
                                           active=want_active):
                     launched += 1
@@ -609,12 +628,6 @@ class MulticastService:
             launched += 1
         return launched
 
-    def _has_active(self, nid, key):
-        ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        if ent is None:
-            return False
-        return any(p["active"] for p in ent.upstream_paths)
-
     def _install_upstream(self, nid, key, path, stability, active):
         """Record a candidate path at the receiver and walk a join along it.
 
@@ -622,13 +635,13 @@ class MulticastService:
         if not path or not self.kernel.are_neighbors(nid, path[0]):
             return False
         ent = self.entry(nid, key, create=True)
-        for p in ent.upstream_paths:
-            if p["path"] == list(path):
-                if active and not p["active"]:
-                    self._activate_path(nid, key, p)
-                return True
-        ent.upstream_paths.append({"path": list(path), "stability": stability,
-                                   "active": active})
+        path = list(path)
+        known = ent.upstream(path)
+        if known is not None:
+            if active and not known.active:
+                self._activate_path(nid, key, known)
+            return True
+        ent.upstream_paths.append(Upstream(path, stability, active))
         if active:
             self.kernel.trace(nid, "branch_activate",
                               {"g": list(key), "via": path[0]})
@@ -660,7 +673,6 @@ class MulticastService:
         if not ent.roles:
             ent.roles.add("forwarder")
         if nxt is None:
-            ent.last_data_us = self.kernel.now_us
             self._ensure_upstream(nid, key)
             return
         self._mark_link(nid, key, nxt, r, active, up=True)
@@ -678,13 +690,13 @@ class MulticastService:
         ent = node.mcast.groups.get(key)
         if ent is None:
             return
-        dead = [p for p in ent.upstream_paths if p["path"] == route]
-        for p in dead:
-            was_active = p["active"]
-            ent.upstream_paths.remove(p)
-            self._walk_mode(receiver, key, route, "leave_path")
-            if was_active:
-                self._failover(receiver, key)
+        dead = ent.upstream(route)
+        if dead is None:
+            return
+        ent.upstream_paths.remove(dead)
+        self._walk_mode(receiver, key, route, "leave_path")
+        if dead.active:
+            self._failover(receiver, key)
 
     # -- mesh walks: explicit-route mark moves ------------------------------------------
 
@@ -754,43 +766,22 @@ class MulticastService:
         if ent is None:
             return
         ent.roles.discard("receiver")
-        self.receivers.get(key, set()).discard(nid)
         for p in list(ent.upstream_paths):
             ent.upstream_paths.remove(p)
-            self._walk_mode(nid, key, p["path"], "leave_path")
+            self._walk_mode(nid, key, p.path, "leave_path")
         node.mcast.joins.pop(key, None)
         self._gc_entry(nid, key)
 
-    # -- branch activation rules ----------------------------------------------------
-
-    def set_branch_activation(self, nid, key, peer, active):
-        """Explicit (de)activation; deactivating a branch with members is refused."""
-        ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        if ent is None or peer not in ent.links:
-            return False
-        link = ent.links[peer]
-        if active:
-            link.override = True
-            self.kernel.trace(nid, "branch_activate", {"g": list(key), "via": peer})
-            return True
-        if link.down_members or link.up_for:
-            return False
-        link.override = False
-        self.kernel.trace(nid, "branch_deactivate", {"g": list(key), "peer": peer})
-        self._gc_entry(nid, key)
-        return True
-
-    def _activate_path(self, nid, key, path_entry):
+    def _activate_path(self, nid, key, up):
         """Make-before-break switch of the receiver's active upstream path."""
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        old = [p for p in ent.upstream_paths if p["active"] and p is not path_entry]
-        path_entry["active"] = True
-        self._walk_mode(nid, key, path_entry["path"], "upgrade")
-        self.kernel.trace(nid, "branch_activate",
-                          {"g": list(key), "via": path_entry["path"][0]})
+        old = [p for p in ent.active_paths() if p is not up]
+        up.active = True
+        self._walk_mode(nid, key, up.path, "upgrade")
+        self.kernel.trace(nid, "branch_activate", {"g": list(key), "via": up.path[0]})
         for p in old:
-            p["active"] = False
-            self._walk_mode(nid, key, p["path"], "downgrade")
+            p.active = False
+            self._walk_mode(nid, key, p.path, "downgrade")
 
     # -- data plane -----------------------------------------------------------------
 
@@ -817,7 +808,6 @@ class MulticastService:
         if dd in ent.seen_data:
             return 0
         ent.seen_data.add(dd)
-        ent.last_data_us = self.kernel.now_us
         if "receiver" in ent.roles and nid != pkt.payload["src"]:
             self.kernel.trace(nid, "data_deliver",
                               {"g": list(key), "src": pkt.payload["src"],
@@ -867,12 +857,7 @@ class MulticastService:
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
         if ent is None:
             return "failed"
-        link = ent.links.get(broken_peer)
-        if link is not None:
-            link.up_for.clear()
-            link.standby_up.clear()
-            if link.empty():
-                del ent.links[broken_peer]
+        self._drop_up_marks(ent, broken_peer)
         subtree = self._downstream_members(nid, key)
         if "receiver" in ent.roles:
             subtree.add(nid)
@@ -894,6 +879,16 @@ class MulticastService:
                                              {"group": list(key)}, dst=peer)
                 self.kernel.transmit(nid, pkt)
         return "failed"
+
+    @staticmethod
+    def _drop_up_marks(ent, peer):
+        """Forget the upstream marks on the link to peer; drop it once empty."""
+        link = ent.links.get(peer)
+        if link is not None:
+            link.up_for.clear()
+            link.standby_up.clear()
+            if link.empty():
+                del ent.links[peer]
 
     def _downstream_members(self, nid, key):
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
@@ -962,7 +957,7 @@ class MulticastService:
             return
         if any(l.up_for for l in ent.links.values()):
             return
-        if "receiver" in ent.roles and any(p["active"] for p in ent.upstream_paths):
+        if "receiver" in ent.roles and ent.active_paths():
             return
         if not any(l.down_members for l in ent.links.values()):
             return
@@ -973,12 +968,7 @@ class MulticastService:
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
         if ent is None:
             return
-        link = ent.links.get(sender)
-        if link is not None:
-            link.up_for.clear()
-            link.standby_up.clear()
-            if link.empty():
-                del ent.links[sender]
+        self._drop_up_marks(ent, sender)
         if "receiver" in ent.roles:
             self._failover(nid, key)
             return
@@ -989,22 +979,18 @@ class MulticastService:
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
         if ent is None:
             return
-        live, dead = [], []
-        for p in ent.upstream_paths:
-            first = p["path"][0] if p["path"] else None
-            if first is not None and self.kernel.are_neighbors(nid, first):
-                live.append(p)
-            else:
-                dead.append(p)
-        for p in dead:
+        # the choice is made among the paths live before the dead ones are
+        # walked off: a walk can re-enter _failover and install a new path
+        live = [p for p in ent.upstream_paths
+                if p.path and self.kernel.are_neighbors(nid, p.path[0])]
+        for p in [p for p in ent.upstream_paths if p not in live]:
             ent.upstream_paths.remove(p)
-            self._walk_mode(nid, key, p["path"], "leave_path")
-        if any(p["active"] for p in live):
+            self._walk_mode(nid, key, p.path, "leave_path")
+        if any(p.active for p in live):
             return
-        standby = sorted((p for p in live if not p["active"]),
-                         key=lambda p: (-p["stability"], len(p["path"])))
-        if standby:
-            self._activate_path(nid, key, standby[0])
+        standby = best_standby(live)
+        if standby is not None:
+            self._activate_path(nid, key, standby)
             return
         state = self.kernel.nodes[nid].mcast
         join = state.joins.get(key)
@@ -1020,20 +1006,17 @@ class MulticastService:
             return
         if not self.mesh_active(new_peer, key):
             return
-        active = [p for p in ent.upstream_paths if p["active"]]
-        if active and active[0]["path"] and active[0]["path"][0] == new_peer:
+        active = ent.active_paths()
+        if active and (len(active[0].path) <= 1 or active[0].path[0] == new_peer):
             return
-        if active and len(active[0]["path"]) <= 1:
-            return
-        if any(p["path"] == [new_peer] for p in ent.upstream_paths):
+        if ent.upstream([new_peer]) is not None:
             return
         hops = self._hops_to_mesh(nid, key)
-        new_entry = {"path": [new_peer], "stability": 1.0, "active": True}
-        ent.upstream_paths.append(new_entry)
+        ent.upstream_paths.append(Upstream([new_peer], 1.0, True))
         self._walk_join(nid, key, [new_peer], nid, active=True)
         for p in active:
-            p["active"] = False
-            self._walk_mode(nid, key, p["path"], "downgrade")
+            p.active = False
+            self._walk_mode(nid, key, p.path, "downgrade")
         self.kernel.trace(nid, "handoff",
                           {"g": list(key), "via": new_peer, "hops_to_mesh": hops})
 
@@ -1089,9 +1072,9 @@ class MulticastService:
         if not path:
             return
         ent = self.entry(nid, key, create=True)
-        if any(p["path"] == path for p in ent.upstream_paths):
+        if ent.upstream(path) is not None:
             return
-        active = not self._has_active(nid, key)
+        active = not ent.active_paths()
         if not active and len(ent.upstream_paths) >= self.config.max_paths:
             return
         self._install_upstream(nid, key, path, inner["detail"].get("stab", 0.5),
@@ -1130,9 +1113,7 @@ class MulticastService:
         self._collect_pop_reply(nid, key, self._pop_eval(nid, key) or {})
         R = self.zone.config.radius_R
         payload = {"group": list(key), "origin": nid, "q": "pop", "stab": 1.0}
-        pkt = self.kernel.new_packet(GROUP_QUERY, nid, R, payload)
-        self.kernel.nodes[nid].mcast.seen.add(("pq",) + pkt.pid)
-        self.kernel.transmit(nid, pkt)
+        self._flood_out(nid, GROUP_QUERY, R, payload)
         pred = {"kind": "pop_query", "group": key}
         self.contacts.contact_query(
             nid, pred, lambda detail, qpath: self._collect_pop_reply(nid, key, detail),
@@ -1140,22 +1121,16 @@ class MulticastService:
         self.kernel.schedule_in(int(self.config.group_query_window_s * US),
                                 self.popularity_update, nid, key)
 
-    def _flood_pop_query(self, nid, pkt, rx_power=None, sender=None):
-        state = self.kernel.nodes[nid].mcast
-        dd = ("pq",) + pkt.pid
-        if dd in state.seen:
+    def _flood_pop_query(self, nid, pkt):
+        pkt = self._flood_in(nid, pkt)
+        if pkt is None:
             return
-        state.seen.add(dd)
-        pkt = pkt.hop_copy()
-        pkt.path_record.append(nid)
         key = tuple(pkt.payload["group"])
         detail = self._pop_eval(nid, key)
         if detail is not None:
             inner = {"pop": detail, "join_key": list(key)}
             self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
-        if pkt.ttl_hops > 1:
-            pkt.ttl_hops -= 1
-            self.kernel.transmit(nid, pkt)
+        self.kernel.forward(nid, pkt, None)
 
     def _pop_eval(self, nid, key):
         node = self.kernel.nodes[nid]
@@ -1205,9 +1180,7 @@ class MulticastService:
     def _advertise_local_sds(self, nid, key):
         R = self.zone.config.radius_R
         payload = {"origin": nid, "group": list(key)}
-        pkt = self.kernel.new_packet(SDS_ADVERT, nid, R, payload)
-        self.kernel.nodes[nid].mcast.seen.add(("lsa",) + pkt.pid)
-        self.kernel.transmit(nid, pkt)
+        self._flood_out(nid, SDS_ADVERT, R, payload)
         entries = self.kernel.nodes[nid].contacts.entries
         for cid in sorted(entries):
             self.kernel.source_route(nid, SDS_ADVERT, entries[cid].route,
@@ -1215,18 +1188,16 @@ class MulticastService:
 
     def _on_local_sds_advert(self, nid, pkt, rx_power, sender):
         """Zone-scoped flood, or a source-routed copy to a contact."""
-        state = self.kernel.nodes[nid].mcast
-        route = pkt.payload.get("route")
-        if route and self.kernel.relay(nid, pkt):
+        routed = "route" in pkt.payload
+        if routed and self.kernel.relay(nid, pkt):
             return
-        dd = ("lsa",) + pkt.pid
-        if dd in state.seen:
+        pkt = self._flood_in(nid, pkt)
+        if pkt is None:
             return
-        state.seen.add(dd)
         key = tuple(pkt.payload["group"])
         self.kernel.nodes[nid].sds.known_local_sds.setdefault(key, {})[
             pkt.payload["origin"]] = self.kernel.now_us
-        if not route:
+        if not routed:
             self.kernel.forward(nid, pkt, None)
 
     def _rr_group_sync(self, nid, pkt):
@@ -1276,7 +1247,7 @@ class MulticastService:
                     if link.down_members and not link.active():
                         problems.append((nid, key, peer, "black_hole"))
                 if "receiver" in ent.roles and ent.upstream_paths:
-                    n_active = sum(1 for p in ent.upstream_paths if p["active"])
+                    n_active = len(ent.active_paths())
                     if n_active != 1:
                         problems.append((nid, key, None, f"active={n_active}"))
         return problems

@@ -29,12 +29,6 @@ class GroupAddress:
 WELL_KNOWN_GROUP = GroupAddress(WELL_KNOWN_PREFIX, WELL_KNOWN_SUFFIX)
 
 
-@dataclass(frozen=True)
-class RendezvousRegion:
-    prefix: int
-    rect: tuple  # (x1, x2, y1, y2)
-
-
 @dataclass
 class RendezvousConfig:
     grid_cols: int = 8
@@ -89,10 +83,6 @@ class GeoGrid:
         return (self.x_edges[col], self.x_edges[col + 1],
                 self.y_edges[row], self.y_edges[row + 1])
 
-    def center_of_prefix(self, prefix):
-        x1, x2, y1, y2 = self.rect_of_prefix(prefix)
-        return ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-
     @staticmethod
     def distance_to_rect(pos, rect):
         x, y = pos
@@ -136,7 +126,6 @@ class RendezvousManager:
         if config.l_limit_m is None:
             config.l_limit_m = 2.0 * kernel.radio.range_m * zone_mgr.config.radius_R
         self.rr_handlers = {}        # inner_kind -> fn(nid, pkt) at the RR
-        self.point_handlers = {}     # inner_kind -> fn(nid, pkt) at a point target
         self.geocast_handlers = {}   # inner_kind -> fn(nid, pkt, in_region)
         self._pending_sessions = {}  # (initiator, name) -> pending record
         self._session_listeners = []
@@ -155,7 +144,6 @@ class RendezvousManager:
         self.register_rr_handler("session_register", self._rr_session_register)
         self.register_rr_handler("session_announce", self._rr_session_announce)
         self.register_rr_handler("sds_leave_rr", self._rr_sds_leave)
-        self.point_handlers["sds_sync"] = self._point_sds_sync
         zone_mgr.register_evaluator(self._eval_sds_for)
 
     # -- registration points for other layers ------------------------------------
@@ -173,9 +161,6 @@ class RendezvousManager:
 
     def prefix_of_position(self, pos):
         return self.grid.prefix_of_position(pos)
-
-    def rr_of_group(self, addr):
-        return RendezvousRegion(addr.prefix, self.grid.rect_of_prefix(addr.prefix))
 
     # -- SDS promotion / retirement ------------------------------------------------
 
@@ -426,51 +411,42 @@ class RendezvousManager:
 
     # -- lollipop-LAR ---------------------------------------------------------
 
-    def lar_send(self, origin, prefix, inner_kind, inner, l=None,
+    def lar_send(self, origin, prefix, inner_kind, inner,
                  dst_node=None, dst_pos=None, kind=LAR_FORWARD):
         """Forward via contact chain then greedy geographic routing.
 
         Without dst_node the target is the prefix's rendezvous region; with
         dst_node/dst_pos the packet chases a specific node's last known position.
+        Each leg is source-routed: payload["route"] holds the current leg.
         """
         payload = {
             "prefix": prefix,
             "rect": self.grid.rect_of_prefix(prefix),
-            "l": self.config.l_limit_m if l is None else l,
             "inner_kind": inner_kind,
             "inner": inner,
             "dst_node": dst_node,
             "dst_pos": tuple(dst_pos) if dst_pos else None,
-            "leg": None,
         }
         pkt = self.kernel.new_packet(kind, origin, self.config.lar_ttl, payload)
         self._lar_decide(origin, pkt)
         return pkt.pid
 
     def _on_lar(self, nid, pkt, rx_power, sender):
-        pkt.path_record.append(nid)
-        leg = pkt.payload["leg"]
-        if leg and nid in leg:
-            pos = leg.index(nid)
-            if pos + 1 < len(leg):
-                self.kernel.forward(nid, pkt, leg[pos + 1])
-                return
+        if self.kernel.relay(nid, pkt):
+            return
         self._lar_decide(nid, pkt)
 
     def _lar_decide(self, nid, pkt):
-        payload = dict(pkt.payload)
-        pkt.payload = payload
+        payload = pkt.payload
         my_pos = self.kernel.nodes[nid].pos()
         if payload["dst_pos"] is not None:
             dst = payload["dst_node"]
             if dst == nid:
-                handler = self.point_handlers.get(payload["inner_kind"])
-                if handler is not None:
-                    handler(nid, pkt)
+                if payload["inner_kind"] == "sds_sync":
+                    self._point_sds_sync(nid, pkt)
                 else:
                     # a region request redirected at a specific server
-                    payload["dst_pos"] = None
-                    payload["dst_node"] = None
+                    pkt.payload = dict(payload, dst_pos=None, dst_node=None)
                     self._rr_deliver(nid, pkt)
                 return
             if dst in self.kernel.nodes and self.kernel.are_neighbors(nid, dst):
@@ -483,7 +459,7 @@ class RendezvousManager:
             self._rr_deliver(nid, pkt)
             return
         dist = GeoGrid.distance_to_rect(my_pos, rect)
-        if dist >= payload["l"]:
+        if dist >= self.config.l_limit_m:
             leg = self._closer_contact_leg(nid, rect, dist)
             if leg is not None:
                 self._lar_leg(nid, pkt, leg, "contact")
@@ -522,10 +498,8 @@ class RendezvousManager:
             self.kernel.trace(nid, "delivery_failure",
                               {"k": pkt.payload["inner_kind"], "why": "ttl"})
             return
-        payload = dict(pkt.payload)
-        payload["leg"] = tuple(leg)
         out = pkt.hop_copy()
-        out.payload = payload
+        out.payload = dict(pkt.payload, route=tuple(leg))
         out.ttl_hops -= 1
         out.dst = leg[0]
         self.kernel.trace(nid, "lar_hop", {"mode": mode, "to": leg[0]})
@@ -553,11 +527,8 @@ class RendezvousManager:
                 self._lar_leg(nid, pkt, route, "rr_local")
             else:
                 t, pos = state.known_sds[prefix][sds]
-                payload = dict(pkt.payload)
-                payload["dst_node"] = sds
-                payload["dst_pos"] = tuple(pos)
                 out = pkt.hop_copy()
-                out.payload = payload
+                out.payload = dict(pkt.payload, dst_node=sds, dst_pos=tuple(pos))
                 self._lar_greedy(nid, out, pos)
             return
         # no server known here: flood the wrapped request within the region

@@ -196,7 +196,3 @@ def load_scenario(path):
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     return from_dict(given)
-
-
-def loads_scenario(text):
-    return from_dict(json.loads(text))

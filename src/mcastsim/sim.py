@@ -126,14 +126,7 @@ class Simulation:
             self.kernel.trace(d.get("node"), "workload_drop",
                               {"op": d["op"], "session": d["session"]})
             return
-        self.kernel.schedule_in(US // 2, self._retry_directive, d, fn)
-
-    def _retry_directive(self, d, fn):
-        addr = self.session_directory.get(d["session"])
-        if addr is not None:
-            fn(addr)
-        else:
-            self._with_session(d, fn)
+        self.kernel.schedule_in(US // 2, self._with_session, d, fn)
 
     def _session_confirmed(self, nid, name, addr):
         self.session_directory.setdefault(name, addr)

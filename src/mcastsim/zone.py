@@ -32,8 +32,6 @@ class ZoneConfig:
 
 @dataclass
 class ZoneTable:
-    owner: int
-    radius_R: int
     members: dict = field(default_factory=dict)   # nid -> (hop_distance, next_hop)
     border_set: set = field(default_factory=set)
     version: int = 0
@@ -45,8 +43,8 @@ class ZoneState:
     __slots__ = ("table", "adverts", "parents", "my_seq", "dirty", "recompute_pending",
                  "advert_dirty", "seen_queries")
 
-    def __init__(self, owner, radius):
-        self.table = ZoneTable(owner, radius)
+    def __init__(self):
+        self.table = ZoneTable()
         self.adverts = {}      # origin -> (seq, frozenset(neighbors), contact_count)
         self.parents = {}      # member -> predecessor on shortest path from owner
         self.my_seq = 0
@@ -70,7 +68,7 @@ class ZoneRouting:
         self.query_callbacks = {}                # qid -> fn(detail, reply_path)
         self._qid = 0
         for node in kernel.nodes.values():
-            node.zone = ZoneState(node.nid, config.radius_R)
+            node.zone = ZoneState()
         kernel.register_handler(HELLO, self._on_hello)
         kernel.register_handler(ZONE_LINK_STATE, self._on_advert)
         kernel.register_handler(BORDERCAST_QUERY, self._on_query)

@@ -141,8 +141,7 @@ def test_dead_node_not_a_candidate():
 def install_contact(sim, owner, contact, route):
     now = sim.kernel.now_us
     sim.contacts.entries(owner)[contact] = ContactEntry(
-        contact=contact, route=list(route), established_at_us=now,
-        last_refresh_us=now, s_est=0.5, e_est_contact=1.0,
+        contact=contact, route=list(route), last_refresh_us=now,
         approx_pos=sim.kernel.nodes[contact].pos())
 
 

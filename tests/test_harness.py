@@ -8,7 +8,7 @@ import pytest
 from mcastsim.kernel import ConfigError
 from mcastsim.metrics import (compute_metrics, jsonl_to_trace, metrics_to_csv,
                               overlay_graph, overlay_graph_stats, trace_to_jsonl)
-from mcastsim.scenario import from_dict, load_scenario, loads_scenario
+from mcastsim.scenario import from_dict, load_scenario
 from mcastsim.sim import run_scenario
 
 from conftest import grid_positions
@@ -62,9 +62,9 @@ def test_round_trip_is_identity():
     s = from_dict({"node_count": 5, "duration_s": 30, "seed": 2,
                    "mobility": {"model": "random_waypoint", "speed_max": 9.0},
                    "workload": [{"t": 3, "op": "freeze"}]})
-    again = loads_scenario(s.to_json())
+    again = from_dict(json.loads(s.to_json()))
     assert again == s
-    assert loads_scenario(again.to_json()) == again
+    assert from_dict(json.loads(again.to_json())) == again
 
 
 def test_load_scenario_missing_file_is_config_error():

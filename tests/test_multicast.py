@@ -83,6 +83,16 @@ def test_adv_path_record_hop_connected():
 
 # -- staged discovery ------------------------------------------------------------------
 
+def test_sender_of_two_groups_advertises_both():
+    sim = adv_line_sim(n=4, adv_ttl=4)
+    sim.mcast.start_sender(0, GroupAddress(0, 1))
+    sim.mcast.start_sender(0, GroupAddress(0, 2))
+    run_s(sim, 1.0)
+    for nid in (1, 2, 3):
+        cache = sim.kernel.nodes[nid].mcast.adv_cache
+        assert sorted(cache) == [(0, 1), (0, 2)], f"node {nid}"
+
+
 def test_receiver_near_adv_joins_from_own_cache():
     sim = adv_line_sim(adv_ttl=3)
     addr = GroupAddress(0, 1)
@@ -92,7 +102,7 @@ def test_receiver_near_adv_joins_from_own_cache():
     run_s(sim, 1.0)
     assert stages(sim, 2, addr.key()) == [(1, "attempt"), (1, "success")]
     ent = sim.kernel.nodes[2].mcast.groups[addr.key()]
-    assert sum(p["active"] for p in ent.upstream_paths) == 1
+    assert sum(p.active for p in ent.upstream_paths) == 1
 
 
 def test_receiver_finds_member_by_local_broadcast():
@@ -166,7 +176,7 @@ def test_single_candidate_becomes_active():
                                   "sender": 0, "pos": None}])
     run_s(sim, 1.0)
     ent = sim.kernel.nodes[3].mcast.groups[addr.key()]
-    assert [p["active"] for p in ent.upstream_paths] == [True]
+    assert [p.active for p in ent.upstream_paths] == [True]
     mid = sim.kernel.nodes[2].mcast.groups[addr.key()]
     assert mid.links[3].down_members == {3}
     assert mid.links[1].up_for == {3}
@@ -185,7 +195,7 @@ def test_candidates_ranked_by_stability():
     sim.mcast.send_join_request(5, addr.key(), cands)
     run_s(sim, 1.0)
     ent = sim.kernel.nodes[5].mcast.groups[addr.key()]
-    picked = [(p["path"], p["active"]) for p in ent.upstream_paths]
+    picked = [(p.path, p.active) for p in ent.upstream_paths]
     assert picked == [([4, 3, 0], True), ([2, 1, 0], False)]
 
 
@@ -203,7 +213,7 @@ def test_join_walk_break_discards_and_fails_over():
     sim.mcast.send_join_request(3, addr.key(), cands)
     run_s(sim, 1.0)
     ent = sim.kernel.nodes[3].mcast.groups[addr.key()]
-    picked = [(p["path"], p["active"]) for p in ent.upstream_paths]
+    picked = [(p.path, p.active) for p in ent.upstream_paths]
     assert picked == [([2, 1, 0], True)]
 
 
@@ -286,23 +296,6 @@ def test_static_joined_group_delivers_exactly_once():
 
 # -- activation rules ------------------------------------------------------------------------
 
-def test_deactivating_member_branch_refused():
-    sim = adv_line_sim(n=4)
-    key = GroupAddress(0, 1).key()
-    link = sim.mcast._link(2, key, 3)
-    link.down_members.add(3)
-    assert sim.mcast.set_branch_activation(2, key, 3, False) is False
-    assert link.active()
-
-
-def test_explicit_activation_always_allowed():
-    sim = adv_line_sim(n=4)
-    key = GroupAddress(0, 1).key()
-    sim.mcast._link(2, key, 3)
-    assert sim.mcast.set_branch_activation(2, key, 3, True) is True
-    assert sim.mcast.set_branch_activation(2, key, 3, False) is True
-
-
 def test_leave_cascades_deactivation_upstream():
     sim = adv_line_sim(n=5, adv_ttl=6)
     addr = GroupAddress(0, 1)
@@ -336,10 +329,10 @@ def test_path_switch_keeps_exactly_one_active():
     sim.mcast.send_join_request(3, key, cands)
     run_s(sim, 1.0)
     ent = sim.kernel.nodes[3].mcast.groups[key]
-    standby = [p for p in ent.upstream_paths if not p["active"]][0]
+    standby = [p for p in ent.upstream_paths if not p.active][0]
     sim.mcast._activate_path(3, key, standby)
-    assert sum(p["active"] for p in ent.upstream_paths) == 1
-    assert standby["active"]
+    assert sum(p.active for p in ent.upstream_paths) == 1
+    assert standby.active
     run_s(sim, 1.0)
     assert sim.kernel.nodes[4].mcast.groups[key].links[3].down_members == {3}
     old = sim.kernel.nodes[2].mcast.groups[key].links
@@ -382,9 +375,9 @@ def test_standby_activated_when_active_path_dies():
     sim.kernel.rebuild_links()
     run_s(sim, 1.0)
     ent = sim.kernel.nodes[5].mcast.groups[key]
-    active = [p for p in ent.upstream_paths if p["active"]]
+    active = [p for p in ent.upstream_paths if p.active]
     assert len(active) == 1
-    assert active[0]["path"][0] == 4
+    assert active[0].path[0] == 4
     sim.mcast.send_data(0, addr, seq=42)
     run_s(sim, 1.0)
     assert delivered_seqs(sim, 5, key) == [42]
@@ -437,7 +430,7 @@ def test_total_partition_rejoins_pend():
     sim.kernel.rebuild_links()
     run_s(sim, 3.0)
     ent = sim.kernel.nodes[5].mcast.groups.get(key)
-    assert ent is None or not any(p["active"] for p in ent.upstream_paths)
+    assert ent is None or not any(p.active for p in ent.upstream_paths)
     join = sim.kernel.nodes[5].mcast.joins.get(key)
     assert join is not None and not join.resolved
 
@@ -452,16 +445,16 @@ def test_handoff_grafts_through_new_neighbor():
     run_s(sim, 2.0)
     old_first = [p for p in
                  sim.kernel.nodes[5].mcast.groups[key].upstream_paths
-                 if p["active"]][0]["path"][0]
+                 if p.active][0].path[0]
     assert old_first == 4
     sim.kernel.nodes[5].x = 150.0   # jump next to forwarder 1
     sim.kernel.nodes[5].y = 10.0
     sim.kernel.rebuild_links()
     run_s(sim, 1.0)
     ent = sim.kernel.nodes[5].mcast.groups[key]
-    active = [p for p in ent.upstream_paths if p["active"]]
+    active = [p for p in ent.upstream_paths if p.active]
     assert len(active) == 1
-    assert len(active[0]["path"]) == 1
+    assert len(active[0].path) == 1
     handoffs = [e for e in sim.kernel.trace_events if e[2] == "handoff"]
     assert handoffs and handoffs[0][1] == 5
     sim.mcast.send_data(0, addr, seq=3)
@@ -477,7 +470,7 @@ def test_handoff_noop_without_mesh_neighbor():
     run_s(sim, 1.0)
     sim.mcast.receiver_join(3, addr)
     run_s(sim, 2.0)
-    before = [list(p["path"]) for p in
+    before = [list(p.path) for p in
               sim.kernel.nodes[3].mcast.groups[key].upstream_paths]
     sim.kernel.nodes[3].y = 95.0    # sideways: neighbor set shifts, no mesh there
     sim.kernel.rebuild_links()

@@ -38,17 +38,11 @@ def test_rect_of_prefix_six():
     assert g.rect_of_prefix(6) == (500.0, 750.0, 250.0, 500.0)
 
 
-def test_groups_sharing_prefix_share_region():
-    sim = make_sim(node_count=1, nodes=[[10.0, 10.0]])
-    a = sim.rr.rr_of_group(GroupAddress(9, 1))
-    b = sim.rr.rr_of_group(GroupAddress(9, 200))
-    assert a == b
-
-
 def test_center_round_trips_for_every_prefix():
     g = GeoGrid(977.0, 613.0, 8, 8)   # awkward dimensions on purpose
     for prefix in range(64):
-        assert g.prefix_of_position(g.center_of_prefix(prefix)) == prefix
+        x1, x2, y1, y2 = g.rect_of_prefix(prefix)
+        assert g.prefix_of_position(((x1 + x2) / 2.0, (y1 + y2) / 2.0)) == prefix
 
 
 def test_rects_tile_area_exactly():
@@ -220,9 +214,19 @@ def install_contact_route(sim, owner, contact, route):
     from mcastsim.contacts import ContactEntry
     now = sim.kernel.now_us
     sim.contacts.entries(owner)[contact] = ContactEntry(
-        contact=contact, route=list(route), established_at_us=now,
-        last_refresh_us=now, s_est=0.8, e_est_contact=1.0,
+        contact=contact, route=list(route), last_refresh_us=now,
         approx_pos=sim.kernel.nodes[contact].pos())
+
+
+def test_groups_sharing_prefix_share_region():
+    sim = lar_line_sim()
+    sim.rr.sds_on_promote(16, 3)
+    run_s(sim, 1.0)
+    sim.mcast.start_sender(0, GroupAddress(3, 1))
+    sim.mcast.start_sender(0, GroupAddress(3, 200))
+    run_s(sim, 1.0)
+    records = sim.kernel.nodes[16].sds.records
+    assert 0 in records[(3, 1)] and 0 in records[(3, 200)]
 
 
 def test_delivery_inside_own_region_uses_no_lar_packets():
