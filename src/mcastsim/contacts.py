@@ -162,44 +162,51 @@ class ContactManager:
         The target may sit one hop past the border's zone edge: zone link-state
         gives the border its members' neighbor lists, covering the full 2R+1
         contact-zone reach.
+
+        Borders are scanned in sorted order, then each border's members, and a
+        candidate replaces the best route only when it is strictly shorter, so
+        the first shortest valid candidate wins. A candidate's length is known
+        from the zone tables before it is built (the owner's hop distance to
+        the border plus the border's to the member, plus one), and the
+        candidates longer than the current limit (2R+1, then one less than
+        the best route so far) are skipped unbuilt: none of them could win.
         """
         table = self.kernel.nodes[nid].zone.table
-        bound = 2 * self.zone.config.radius_R + 1
+        limit = 2 * self.zone.config.radius_R + 1
         best = None
 
         def consider(route):
-            nonlocal best
-            if route is None or len(route) > bound or nid in route:
-                return
-            if len(set(route)) != len(route):
+            nonlocal best, limit
+            if len(route) > limit or nid in route or len(set(route)) != len(route):
                 return
             if not self.kernel.route_intact(nid, route):
                 return  # a repair that does not probe through is a failed repair
-            if best is None or len(route) < len(best):
-                best = route
+            best = route
+            limit = len(route) - 1
 
         for b in sorted(table.border_set):
+            d_b = table.members[b][0]
+            if d_b + 1 > limit:
+                continue
             bnode = self.kernel.nodes.get(b)
             if bnode is None or not bnode.alive:
                 continue
             bzone = bnode.zone
+            bmembers = bzone.table.members
             r1 = self.zone.intra_zone_route(nid, b)
-            if r1 is None:
-                continue
-            if target in bzone.table.members:
-                r2 = self.zone.intra_zone_route(b, target)
-                if r2 is not None:
-                    consider(r1 + r2)
+            if target in bmembers:
+                if d_b + bmembers[target][0] <= limit:
+                    consider(r1 + self.zone.intra_zone_route(b, target))
                 continue
             if target in self.kernel.neighbors(b):
                 consider(r1 + [target])
-            for m in sorted(bzone.table.members):
+            for m in sorted(bmembers):
+                if d_b + bmembers[m][0] + 1 > limit:
+                    continue
                 adv_m = bzone.adverts.get(m)
                 if adv_m is None or target not in adv_m[1]:
                     continue
-                r2 = self.zone.intra_zone_route(b, m)
-                if r2 is not None:
-                    consider(r1 + r2 + [target])
+                consider(r1 + self.zone.intra_zone_route(b, m) + [target])
         return best
 
     def _consider(self, nid, cand):

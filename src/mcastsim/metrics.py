@@ -4,6 +4,7 @@ small-world overlay statistics (zone-only versus zone-plus-contacts)."""
 
 import json
 import random
+from collections import Counter
 
 from .kernel import US
 
@@ -152,7 +153,11 @@ def overlay_graph_stats(adj, seed):
     """(avg path length, clustering coefficient, disconnected-flag).
 
     Path length is over sampled pairs (all pairs for small graphs) within the
-    largest connected component when the overlay is disconnected.
+    largest connected component when the overlay is disconnected. All pairs
+    are measured by one bit-parallel BFS: each distinct source owns one bit
+    of an int, every level ORs each frontier node's new bits into its
+    neighbours, and a bit reaching a node for the first time at level d adds
+    d once per sampled pair (source, node); a pair sampled twice counts twice.
     """
     nodes = sorted(adj)
     if not nodes:
@@ -171,20 +176,45 @@ def overlay_graph_stats(adj, seed):
         for _ in range(PAIR_SAMPLES):
             a, b = rng.sample(comp_sorted, 2)
             pairs.append((a, b))
-    total = 0
-    counted = 0
-    cache = {}
-    for a, b in pairs:
-        dists = cache.get(a)
-        if dists is None:
-            dists = _bfs(adj, a)
-            cache[a] = dists
-        d = dists.get(b)
-        if d is not None:
-            total += d
-            counted += 1
+    total, counted = _sum_pair_distances(adj, pairs)
     apl = total / counted if counted else 0.0
     return apl, _clustering(adj, nodes), disconnected
+
+
+def _sum_pair_distances(adj, pairs):
+    """(sum of BFS hop distances, reachable pair count) over pairs (a, b)."""
+    bit = {a: 1 << i for i, a in enumerate(dict.fromkeys(a for a, _ in pairs))}
+    counts = Counter(pairs)
+    # wanted[k][b]: bits of the sources a whose pair (a, b) occurs more than k times
+    wanted = [{} for _ in range(max(counts.values(), default=0))]
+    for (a, b), c in counts.items():
+        for layer in wanted[:c]:
+            layer[b] = layer.get(b, 0) | bit[a]
+    total = 0
+    counted = 0
+    seen = dict(bit)
+    frontier = dict(bit)
+    d = 0
+    while frontier:
+        d += 1
+        reached = {}
+        for u, mask in frontier.items():
+            for v in adj[u]:
+                reached[v] = reached.get(v, 0) | mask
+        frontier = {}
+        for v, mask in reached.items():
+            new = mask & ~seen.get(v, 0)
+            if not new:
+                continue
+            seen[v] = seen.get(v, 0) | new
+            frontier[v] = new
+            for layer in wanted:
+                n = (new & layer.get(v, 0)).bit_count()
+                if not n:
+                    break
+                total += d * n
+                counted += n
+    return total, counted
 
 
 def _bfs(adj, src):
@@ -218,16 +248,12 @@ def _largest_component(adj, nodes):
 def _clustering(adj, nodes):
     total = 0.0
     for n in nodes:
-        nbrs = sorted(adj[n])
+        nbrs = adj[n]
         k = len(nbrs)
         if k < 2:
             continue
-        links = 0
-        for i, u in enumerate(nbrs):
-            au = adj[u]
-            for v in nbrs[i + 1:]:
-                if v in au:
-                    links += 1
+        # each link among the neighbours is seen from both ends (no self-loops)
+        links = sum(len(adj[u] & nbrs) for u in nbrs) // 2
         total += 2.0 * links / (k * (k - 1))
     return total / len(nodes) if nodes else 0.0
 

@@ -984,6 +984,8 @@ class MulticastService:
         live = [p for p in ent.upstream_paths
                 if p.path and self.kernel.are_neighbors(nid, p.path[0])]
         for p in [p for p in ent.upstream_paths if p not in live]:
+            if p not in ent.upstream_paths:
+                continue  # a re-entered call has walked it off already
             ent.upstream_paths.remove(p)
             self._walk_mode(nid, key, p.path, "leave_path")
         if any(p.active for p in live):

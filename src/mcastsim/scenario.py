@@ -5,8 +5,9 @@ back to a defaults-expanded form that reloads to an equal scenario.
 """
 
 import json
+import math
 
-from .kernel import ConfigError
+from .kernel import US, ConfigError
 
 SCHEMA = {
     "area": {"width_m": 1000.0, "height_m": 1000.0},
@@ -141,7 +142,41 @@ def _merge(schema, given, path):
     return out
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_positive(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+
+def _is_period(x):
+    # the kernel schedules in whole microseconds: a shorter period is 0 and
+    # re-arms at the same instant forever
+    return _is_positive(x) and math.isfinite(x) and int(x * US) > 0
+
+
+# dotted scenario path -> (test the value must pass, what it must be)
+FIELD_RULES = {
+    "node_count": (_is_int, "an integer"),
+    "zone.hello_interval_s": (_is_period, "a period of at least 1 us"),
+    "mcast.adv_period_s": (_is_period, "a period of at least 1 us"),
+    "rr.decision_period_s": (_is_period, "a period of at least 1 us"),
+    "energy.drain_w": (_is_positive, "positive"),
+}
+
+
+def _check_fields(data):
+    for dotted, (ok, what) in FIELD_RULES.items():
+        value = data
+        for key in dotted.split("."):
+            value = value[key]
+        if not ok(value):
+            raise ConfigError(f"{dotted} must be {what}, got {value!r}")
+
+
 def _validate(data):
+    _check_fields(data)
     if data["node_count"] < 1:
         raise ConfigError("node_count must be >= 1")
     if data["duration_s"] <= 0:

@@ -271,3 +271,72 @@ def test_capability_bonus_off_by_default():
     sim.contacts.config.capability_bonus = 0.3
     boosted = sim.contacts._probability(0, 3)
     assert boosted == pytest.approx(min(1.0, base + 0.3))
+
+
+def exhaustive_route_via_borders(contacts, nid, target):
+    """The contact route search before its length pruning: builds and probes
+    every candidate, keeps the first of the shortest valid ones."""
+    table = contacts.kernel.nodes[nid].zone.table
+    bound = 2 * contacts.zone.config.radius_R + 1
+    best = None
+
+    def consider(route):
+        nonlocal best
+        if route is None or len(route) > bound or nid in route:
+            return
+        if len(set(route)) != len(route):
+            return
+        if not contacts.kernel.route_intact(nid, route):
+            return
+        if best is None or len(route) < len(best):
+            best = route
+
+    for b in sorted(table.border_set):
+        bnode = contacts.kernel.nodes.get(b)
+        if bnode is None or not bnode.alive:
+            continue
+        bzone = bnode.zone
+        r1 = contacts.zone.intra_zone_route(nid, b)
+        if r1 is None:
+            continue
+        if target in bzone.table.members:
+            r2 = contacts.zone.intra_zone_route(b, target)
+            if r2 is not None:
+                consider(r1 + r2)
+            continue
+        if target in contacts.kernel.neighbors(b):
+            consider(r1 + [target])
+        for m in sorted(bzone.table.members):
+            adv_m = bzone.adverts.get(m)
+            if adv_m is None or target not in adv_m[1]:
+                continue
+            r2 = contacts.zone.intra_zone_route(b, m)
+            if r2 is not None:
+                consider(r1 + r2 + [target])
+    return best
+
+
+def test_pruned_route_search_matches_exhaustive_scan():
+    sim = make_sim(node_count=150, seed=4, duration_s=8.0,
+                   area={"width_m": 1500.0, "height_m": 1500.0},
+                   radio={"range_m": 200.0},
+                   contacts={"k": 8.0},
+                   mobility={"model": "random_waypoint", "speed_min": 5.0,
+                             "speed_max": 20.0},
+                   workload=[{"t": float(t), "op": "query_burst", "count": 20}
+                             for t in range(1, 8, 2)])
+    pruned = sim.contacts._route_via_borders
+    calls = []
+
+    def both(nid, target):
+        route = pruned(nid, target)
+        assert route == exhaustive_route_via_borders(sim.contacts, nid, target)
+        calls.append(route)
+        return route
+
+    sim.contacts._route_via_borders = both
+    sim.run()
+    assert len(calls) >= 100
+    found = [r for r in calls if r is not None]
+    assert found
+    assert len({len(r) for r in found}) > 1

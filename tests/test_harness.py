@@ -58,6 +58,37 @@ def test_nodes_length_must_match_count():
         from_dict({"node_count": 3, "nodes": [[1, 1], [2, 2]]})
 
 
+# Each of these hung the run, or failed in it with a TypeError,
+# ZeroDivisionError or a schedule in the past, before the field rules.
+BAD_FIELDS = {
+    "node_count-str": {"node_count": "5"},
+    "node_count-float": {"node_count": 5.0},
+    "node_count-bool": {"node_count": True},
+    "hello-zero": {"zone": {"hello_interval_s": 0}},
+    "hello-sub-us": {"zone": {"hello_interval_s": 1e-7}},
+    "hello-str": {"zone": {"hello_interval_s": "1.0"}},
+    "adv-zero": {"mcast": {"adv_period_s": 0}},
+    "adv-negative": {"mcast": {"adv_period_s": -5.0}},
+    "adv-sub-us": {"mcast": {"adv_period_s": 1e-7}},
+    "decision-negative": {"rr": {"decision_period_s": -1}},
+    "decision-zero": {"rr": {"decision_period_s": 0.0}},
+    "decision-sub-us": {"rr": {"decision_period_s": 1e-7}},
+    "drain-zero": {"energy": {"drain_w": 0}},
+    "drain-negative": {"energy": {"drain_w": -1.0}},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_bad_field_rejected_at_load(bad):
+    with pytest.raises(ConfigError):
+        from_dict(bad)
+
+
+def test_one_microsecond_period_loads():
+    s = from_dict({"zone": {"hello_interval_s": 1e-6}, "node_count": 1})
+    assert s["zone"]["hello_interval_s"] == 1e-6
+
+
 def test_round_trip_is_identity():
     s = from_dict({"node_count": 5, "duration_s": 30, "seed": 2,
                    "mobility": {"model": "random_waypoint", "speed_max": 9.0},
@@ -262,6 +293,14 @@ def test_cli_missing_scenario_is_config_error(tmp_path):
     from mcastsim.cli import main
     assert main(["run", "--scenario", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_cli_bad_field_is_config_error(tmp_path, bad):
+    from mcastsim.cli import main
+    scen = write_scenario(tmp_path, bad)
+    assert main(["run", "--scenario", scen, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_stats_recomputes(tmp_path):

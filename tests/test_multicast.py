@@ -416,6 +416,44 @@ def test_local_recovery_splices_through_zone():
     assert delivered_seqs(sim, 6, key) == [7]
 
 
+def test_failover_survives_reentry_through_forwarded_receiver():
+    # receiver 3 holds [2, 1, 0] and [2, 5, 0] and forwards for receiver 4;
+    # killing 2 breaks both at once, and walking the first off re-enters
+    # _failover for 3, which walks the second off before the outer call does
+    pts = [[10.0, 60.0], [110.0, 10.0], [210.0, 60.0], [310.0, 60.0],
+           [410.0, 60.0], [110.0, 110.0]]
+    sim = make_sim(node_count=6, nodes=pts, radio={"range_m": 120.0},
+                   zone={"radius_R": 1},
+                   area={"width_m": 500.0, "height_m": 200.0},
+                   rr={"grid_cols": 1, "grid_rows": 1})
+    no_self_promotion(sim)
+    run_s(sim, 2.0)
+    addr = GroupAddress(0, 1)
+    key = addr.key()
+    sim.mcast.start_sender(0, addr)
+    run_s(sim, 1.0)
+    sim.mcast.send_join_request(3, key, [
+        {"path": [2, 1, 0], "stability": 0.9, "sender": 0, "pos": None},
+        {"path": [2, 5, 0], "stability": 0.8, "sender": 0, "pos": None}])
+    run_s(sim, 1.0)
+    sim.mcast.send_join_request(4, key, [
+        {"path": [3, 2, 1, 0], "stability": 0.9, "sender": 0, "pos": None}])
+    run_s(sim, 1.0)
+    ent = sim.kernel.nodes[3].mcast.groups[key]
+    assert [(p.path, p.active) for p in ent.upstream_paths] == [
+        ([2, 1, 0], True), ([2, 5, 0], False)]
+    killed_us = sim.kernel.now_us
+    sim.kernel.nodes[2].alive = False
+    sim.kernel.rebuild_links()
+    run_s(sim, 1.0)
+    assert all(p.path[0] != 2 for p in ent.upstream_paths)
+    assert sum(p.active for p in ent.upstream_paths) <= 1
+    rejoins = [e for e in sim.kernel.trace_events
+               if e[0] >= killed_us and e[1] == 3 and e[2] == "join_stage"
+               and e[3]["stage"] == 1 and e[3]["status"] == "attempt"]
+    assert len(rejoins) == 1
+
+
 def test_total_partition_rejoins_pend():
     sim = diamond_sim()
     addr = GroupAddress(0, 1)
