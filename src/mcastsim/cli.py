@@ -30,7 +30,7 @@ def _emit(out_dir, scenario, trace, rows):
         f.write(trace_to_jsonl(trace))
     if scenario is not None:
         with open(os.path.join(out_dir, "scenario_resolved.json"), "w") as f:
-            f.write(scenario.to_json() + "\n")
+            f.write(scenario.to_json(resolved=True) + "\n")
 
 
 def cmd_run(args):

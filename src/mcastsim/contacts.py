@@ -14,18 +14,6 @@ from .kernel import US, CONTACT_QUERY, CONTACT_REPLY, ConfigError
 
 
 @dataclass
-class ContactsConfig:
-    enabled: bool = True
-    k: float = 4.0
-    A_half: float = 1.0                # queries/second at half saturation
-    E_half: float | None = None        # None: median squared lifetime at start
-    activity_half_life_s: float = 30.0
-    maintenance_period_s: float = 2.0
-    max_contacts: int = 8
-    capability_bonus: float = 0.0      # additive p bonus for gps/sds contacts, off by default
-
-
-@dataclass
 class SelectionInputs:
     E_est: float
     S_est: float
@@ -90,10 +78,6 @@ class ContactManager:
         self._pending = {}               # qid -> {"pending": set, "cb": fn}
         for node in kernel.nodes.values():
             node.contacts = ContactState()
-        if config.E_half is None:
-            lifetimes = sorted(n.energy_j / n.drain_w for n in kernel.nodes.values())
-            mid = lifetimes[len(lifetimes) // 2] if lifetimes else 1.0
-            config.E_half = mid * mid
         zone_mgr.contact_count_fn = self.contact_count
         zone_mgr.activity_fn = self.record_discovery
         zone_mgr.zone_update_listeners.append(self._on_zone_update)

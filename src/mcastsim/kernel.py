@@ -64,12 +64,6 @@ class RadioModel:
     path_loss_exp: float = 2.0
     ref_distance_m: float = 1.0
 
-    def __post_init__(self):
-        if self.range_m <= 0:
-            raise ConfigError("radio range must be positive")
-        if self.path_loss_exp < 2:
-            raise ConfigError("path loss exponent must be >= 2")
-
     def received_power(self, distance_m):
         """Received power at the given distance; flat inside the reference distance."""
         if distance_m < self.ref_distance_m:

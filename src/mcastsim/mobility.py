@@ -8,7 +8,6 @@ least the queried horizon.
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .kernel import US, ConfigError
 
@@ -16,24 +15,6 @@ STATIONARY = "stationary"
 RANDOM_WALK = "random_walk"
 RANDOM_WAYPOINT = "random_waypoint"
 MODELS = (STATIONARY, RANDOM_WALK, RANDOM_WAYPOINT)
-
-
-@dataclass
-class MobilityConfig:
-    model: str = STATIONARY
-    speed_min: float = 0.0
-    speed_max: float = 0.0
-    pause_time_s: float = 0.0
-    step_interval_s: float = 1.0
-    position_noise_m: float = 0.0
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown mobility model {self.model!r}")
-        if not (0 <= self.speed_min <= self.speed_max):
-            raise ConfigError("require 0 <= speed_min <= speed_max")
-        if self.pause_time_s < 0:
-            raise ConfigError("pause_time must be >= 0")
 
 
 class LinkHistory:

@@ -12,29 +12,10 @@ deactivates branches exactly as the emptied subtree unwinds. A receiver keeps
 its candidate upstream paths as Upstream records, exactly one of them active.
 """
 
-from dataclasses import dataclass
-
 from .kernel import (US, ADV, BRANCH_BREAK, DATA, GROUP_QUERY,
                      GROUP_QUERY_REPLY, JOIN_QUERY, JOIN_REPLY, JOIN_REQUEST,
                      MESH_LEAVE, SDS_ADVERT)
 from .rendezvous import GeoGrid, GroupAddress, WELL_KNOWN_PREFIX
-
-
-@dataclass
-class MulticastConfig:
-    adv_ttl: int | None = None          # None: R + 2
-    adv_period_s: float = 5.0
-    max_paths: int = 3
-    pop_query_th: float = 3.0
-    pop_th: float = 2.0
-    pop_half_life_s: float = 30.0
-    member_expiry_s: float | None = None  # None: 3 * adv_period
-    route_quality_floor: float = 0.0
-    data_ttl: int = 64
-    stage_rr_timeout_s: float = 1.5
-    join_backoff_s: float = 2.0
-    join_max_backoff_s: float = 30.0
-    group_query_window_s: float = 0.5
 
 
 def senders_detail(senders):
@@ -134,10 +115,6 @@ class MulticastService:
         self.rr = rendezvous_mgr
         self.mobility = mobility_mgr
         R = zone_mgr.config.radius_R
-        if config.adv_ttl is None:
-            config.adv_ttl = R + 2
-        if config.member_expiry_s is None:
-            config.member_expiry_s = 3.0 * config.adv_period_s
         lat = kernel.latency_us / US
         self._stage_timeouts = {
             1: 4 * R * lat + 0.05,
@@ -477,14 +454,19 @@ class MulticastService:
         detail = self.zone.evaluate(nid, pkt.payload["pred"])
         if detail is None:
             return
-        inner = {"detail": detail, "join_key": pkt.payload.get("join_key"),
-                 "stage": pkt.payload.get("stage"),
-                 "qpath": list(pkt.path_record)}
-        self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
+        self._answer(nid, pkt, GROUP_QUERY_REPLY, pkt.payload, detail,
+                     pkt.payload.get("join_key"))
 
     def _reply(self, nid, query, kind, inner, origin):
         """Answer query at origin; reply handlers read payload["inner"]."""
         self.kernel.source_reply(nid, query, kind, {"inner": inner}, origin)
+
+    def _answer(self, nid, query, kind, asked, detail, join_key, **extra):
+        """Discovery answer for the join waiting at the stage the query asked
+        for; asked is the query's payload (or its RR inner) with "origin"."""
+        inner = {"detail": detail, "join_key": join_key, **extra,
+                 "stage": asked.get("stage"), "qpath": list(query.path_record)}
+        self._reply(nid, query, kind, inner, asked["origin"])
 
     def _on_group_reply(self, nid, pkt, rx_power, sender):
         if self.kernel.relay(nid, pkt):
@@ -522,10 +504,8 @@ class MulticastService:
         else:
             detail = self._eval_session_registry(nid, {"kind": "session_registry"})
         if detail is not None:
-            inner = {"detail": detail, "join_key": list(key), "stab": stab,
-                     "stage": pkt.payload.get("stage"),
-                     "qpath": list(pkt.path_record)}
-            self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
+            self._answer(nid, pkt, GROUP_QUERY_REPLY, pkt.payload, detail,
+                         list(key), stab=stab)
             return
         pkt.payload = dict(pkt.payload, stab=stab)
         self.kernel.forward(nid, pkt, None)
@@ -540,9 +520,7 @@ class MulticastService:
             detail = {"graft": nid}
         else:
             return  # nothing to offer; the querier times out and retries
-        reply = {"detail": detail, "join_key": list(key),
-                 "stage": inner.get("stage"), "qpath": list(pkt.path_record)}
-        self._reply(nid, pkt, JOIN_REPLY, reply, inner["origin"])
+        self._answer(nid, pkt, JOIN_REPLY, inner, detail, list(key))
 
     def _on_join_reply(self, nid, pkt, rx_power, sender):
         if self.kernel.relay(nid, pkt):
@@ -563,9 +541,7 @@ class MulticastService:
         inner = pkt.payload["inner"]
         detail = (self._eval_session_registry(nid, {"kind": "session_registry"})
                   or {"sessions": {}})
-        reply = {"detail": detail, "join_key": list(inner["group"]),
-                 "stage": inner.get("stage"), "qpath": list(pkt.path_record)}
-        self._reply(nid, pkt, JOIN_REPLY, reply, inner["origin"])
+        self._answer(nid, pkt, JOIN_REPLY, inner, detail, list(inner["group"]))
 
     # -- join requests and mesh construction -------------------------------------------
 

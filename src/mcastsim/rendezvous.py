@@ -29,32 +29,6 @@ class GroupAddress:
 WELL_KNOWN_GROUP = GroupAddress(WELL_KNOWN_PREFIX, WELL_KNOWN_SUFFIX)
 
 
-@dataclass
-class RendezvousConfig:
-    grid_cols: int = 8
-    grid_rows: int = 8
-    target_sds: int = 5
-    l_limit_m: float | None = None     # None: 2 * radio range * R at wiring time
-    sender_ttl_s: float = 60.0
-    prefix_bits: int = 8
-    suffix_bits: int = 8
-    decision_period_s: float = 2.0
-    suppress_window_s: float = 5.0
-    readvert_period_s: float = 15.0
-    peer_ttl_s: float = 45.0
-    min_energy_ratio: float = 0.1
-    expected_population: float | None = None  # None: zone-based estimate
-    register_timeout_s: float = 2.0
-    register_max_retries: int = 3
-    lar_ttl: int = 128
-
-    def __post_init__(self):
-        if self.grid_cols < 1 or self.grid_rows < 1:
-            raise ConfigError("grid must be at least 1x1")
-        if self.grid_cols * self.grid_rows > (1 << self.prefix_bits):
-            raise ConfigError("grid does not fit in prefix_bits")
-
-
 class GeoGrid:
     """Uniform-grid instantiation of the position -> prefix mapping."""
 
@@ -123,8 +97,6 @@ class RendezvousManager:
         self.mobility = mobility_mgr
         self.grid = GeoGrid(kernel.area_w, kernel.area_h,
                             config.grid_cols, config.grid_rows)
-        if config.l_limit_m is None:
-            config.l_limit_m = 2.0 * kernel.radio.range_m * zone_mgr.config.radius_R
         self.rr_handlers = {}        # inner_kind -> fn(nid, pkt) at the RR
         self.geocast_handlers = {}   # inner_kind -> fn(nid, pkt, in_region)
         self._pending_sessions = {}  # (initiator, name) -> pending record

@@ -1,103 +1,173 @@
 """Scenario files: JSON with nested blocks, strict validation, full defaulting.
 
-Unknown keys are rejected anywhere in the tree; a loaded scenario serializes
-back to a defaults-expanded form that reloads to an equal scenario.
+SCHEMA is the one table of scenario fields: each leaf is (default, rule), and
+every value is checked against its rule as the tree is filled in. Unknown keys
+are rejected anywhere in the tree; a loaded scenario serializes back to a
+defaults-expanded form that reloads to an equal scenario. Four fields default
+to null and are derived when the layers are built (see layer_configs).
 """
 
 import json
-import math
 
 from .kernel import US, ConfigError
+from .mobility import MODELS
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    # finite, and still finite once the kernel scales seconds to microseconds
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= 1e300
+
+
+def _or_null(rule):
+    test, what = rule
+    return (lambda x: x is None or test(x), f"{what} or null")
+
+
+# a rule is (test the value must pass, what it must be)
+INT = (_is_int, "an integer")
+COUNT = (lambda x: _is_int(x) and x >= 1, "an integer >= 1")
+COUNT0 = (lambda x: _is_int(x) and x >= 0, "an integer >= 0")
+BOOL = (lambda x: isinstance(x, bool), "true or false")
+POSITIVE = (lambda x: _is_real(x) and x > 0, "a finite positive number")
+NONNEG = (lambda x: _is_real(x) and x >= 0, "a finite number >= 0")
+FRACTION = (lambda x: _is_real(x) and 0 <= x <= 1, "a number in [0, 1]")
+# the kernel schedules in whole microseconds: a shorter period is 0 and
+# re-arms at the same instant forever
+PERIOD = (lambda x: _is_real(x) and x * US >= 1, "a period of at least 1 us")
+LIST = (lambda x: isinstance(x, (list, tuple)), "a list")
+NAME = (lambda x: isinstance(x, str), "a string")
+RECT = (lambda x: isinstance(x, (list, tuple)) and len(x) == 4 and all(map(_is_real, x)),
+        "[x1, x2, y1, y2] of finite numbers")
 
 SCHEMA = {
-    "area": {"width_m": 1000.0, "height_m": 1000.0},
-    "node_count": 50,
-    "duration_s": 60.0,
-    "seed": 1,
+    "area": {"width_m": (1000.0, POSITIVE), "height_m": (1000.0, POSITIVE)},
+    "node_count": (50, COUNT),
+    "duration_s": (60.0, POSITIVE),
+    "seed": (1, INT),
     "radio": {
-        "tx_power_w": 0.1,
-        "range_m": 250.0,
-        "path_loss_exp": 2.0,
-        "reference_distance_m": 1.0,
-        "one_hop_latency_s": 0.001,
+        "tx_power_w": (0.1, POSITIVE),
+        "range_m": (250.0, POSITIVE),
+        "path_loss_exp": (2.0, (lambda x: _is_real(x) and x >= 2,
+                                "a finite number >= 2")),
+        "reference_distance_m": (1.0, POSITIVE),
+        "one_hop_latency_s": (0.001, NONNEG),
     },
     "zone": {
-        "radius_R": 2,
-        "hello_interval_s": 1.0,
-        "bordercast_rounds": 8,
-        "recompute_delay_s": 0.05,
+        "radius_R": (2, COUNT),
+        "hello_interval_s": (1.0, PERIOD),
+        "bordercast_rounds": (8, COUNT),
+        "recompute_delay_s": (0.05, NONNEG),
     },
     "contacts": {
-        "enabled": True,
-        "k": 4.0,
-        "A_half": 1.0,
-        "E_half": None,
-        "activity_half_life_s": 30.0,
-        "maintenance_period_s": 2.0,
-        "max_contacts": 8,
-        "capability_bonus": 0.0,
+        "enabled": (True, BOOL),
+        "k": (4.0, POSITIVE),
+        "A_half": (1.0, POSITIVE),               # queries/second at half saturation
+        "E_half": (None, _or_null(POSITIVE)),
+        "activity_half_life_s": (30.0, POSITIVE),
+        "maintenance_period_s": (2.0, PERIOD),
+        "max_contacts": (8, COUNT0),
+        "capability_bonus": (0.0, FRACTION),     # additive p bonus for gps/sds contacts
     },
     "rr": {
-        "grid_cols": 8,
-        "grid_rows": 8,
-        "target_sds": 5,
-        "l_limit_m": None,
-        "sender_ttl_s": 60.0,
-        "prefix_bits": 8,
-        "suffix_bits": 8,
-        "decision_period_s": 2.0,
-        "suppress_window_s": 5.0,
-        "readvert_period_s": 15.0,
-        "peer_ttl_s": 45.0,
-        "min_energy_ratio": 0.1,
-        "expected_population": None,
-        "register_timeout_s": 2.0,
-        "register_max_retries": 3,
-        "lar_ttl": 128,
+        "grid_cols": (8, COUNT),
+        "grid_rows": (8, COUNT),
+        "target_sds": (5, COUNT),
+        "l_limit_m": (None, _or_null(POSITIVE)),
+        "sender_ttl_s": (60.0, POSITIVE),
+        "prefix_bits": (8, COUNT0),
+        "suffix_bits": (8, COUNT),
+        "decision_period_s": (2.0, PERIOD),
+        "suppress_window_s": (5.0, NONNEG),
+        "readvert_period_s": (15.0, POSITIVE),
+        "peer_ttl_s": (45.0, POSITIVE),
+        "min_energy_ratio": (0.1, FRACTION),
+        "expected_population": (None, _or_null(POSITIVE)),  # null: zone-based estimate
+        "register_timeout_s": (2.0, PERIOD),
+        "register_max_retries": (3, COUNT0),
+        "lar_ttl": (128, COUNT),
     },
     "mcast": {
-        "adv_ttl": None,
-        "adv_period_s": 5.0,
-        "max_paths": 3,
-        "pop_query_th": 3.0,
-        "pop_th": 2.0,
-        "pop_half_life_s": 30.0,
-        "member_expiry_s": None,
-        "route_quality_floor": 0.0,
-        "data_ttl": 64,
-        "stage_rr_timeout_s": 1.5,
-        "join_backoff_s": 2.0,
-        "join_max_backoff_s": 30.0,
-        "group_query_window_s": 0.5,
+        "adv_ttl": (None, _or_null(COUNT)),
+        "adv_period_s": (5.0, PERIOD),
+        "max_paths": (3, COUNT),
+        "pop_query_th": (3.0, POSITIVE),
+        "pop_th": (2.0, POSITIVE),
+        "pop_half_life_s": (30.0, POSITIVE),
+        "member_expiry_s": (None, _or_null(POSITIVE)),
+        "route_quality_floor": (0.0, FRACTION),
+        "data_ttl": (64, COUNT),
+        "stage_rr_timeout_s": (1.5, POSITIVE),
+        "join_backoff_s": (2.0, POSITIVE),
+        "join_max_backoff_s": (30.0, POSITIVE),
+        "group_query_window_s": (0.5, NONNEG),
     },
     "mobility": {
-        "model": "stationary",
-        "speed_min": 0.0,
-        "speed_max": 0.0,
-        "pause_time_s": 0.0,
-        "step_interval_s": 1.0,
-        "position_noise_m": 0.0,
+        "model": ("stationary", (lambda x: x in MODELS, f"one of {list(MODELS)}")),
+        "speed_min": (0.0, NONNEG),
+        "speed_max": (0.0, NONNEG),
+        "pause_time_s": (0.0, NONNEG),
+        "step_interval_s": (1.0, PERIOD),
+        "position_noise_m": (0.0, NONNEG),
     },
-    "energy": {"initial_j": 1000.0, "drain_w": 1.0},
-    "nodes": None,        # optional [[x, y], ...]; else uniform placement by seed
-    "debug": {"sweep": False, "trace_packets": False},
-    "workload": [],
+    "energy": {"initial_j": (1000.0, POSITIVE), "drain_w": (1.0, POSITIVE)},
+    # optional [[x, y], ...]; else uniform placement by seed
+    "nodes": (None, _or_null(LIST)),
+    "debug": {"sweep": (False, BOOL), "trace_packets": (False, BOOL)},
+    "workload": ([], LIST),
 }
 
-# op name -> {field: required?}
+# op name -> {field: (required?, rule)}, besides the "t" every directive needs;
+# t, node ids, prefixes and suffixes are further checked in _validate
 WORKLOAD_OPS = {
-    "register_session": {"node": True, "name": True, "prefix": False,
-                         "suffix": False, "scope_ttl": False},
-    "join": {"node": True, "session": True},
-    "leave": {"node": True, "session": True},
-    "send_data": {"node": True, "session": True, "count": True,
-                  "interval_s": False, "size": False},
-    "fail_node": {"node": True},
-    "partition": {"rect": True},
-    "bootstrap": {"node": True},
+    "register_session": {"node": (True, COUNT0), "name": (True, NAME),
+                         "prefix": (False, _or_null(COUNT0)),
+                         "suffix": (False, _or_null(COUNT0)),
+                         "scope_ttl": (False, _or_null(COUNT0))},
+    "join": {"node": (True, COUNT0), "session": (True, NAME)},
+    "leave": {"node": (True, COUNT0), "session": (True, NAME)},
+    "send_data": {"node": (True, COUNT0), "session": (True, NAME),
+                  "count": (True, COUNT0), "interval_s": (False, NONNEG),
+                  "size": (False, NONNEG)},
+    "fail_node": {"node": (True, COUNT0)},
+    "partition": {"rect": (True, RECT)},
+    "bootstrap": {"node": (True, COUNT0)},
     "freeze": {},
-    "query_burst": {"count": True, "budget": False},
+    "query_burst": {"count": (True, COUNT0), "budget": (False, COUNT0)},
 }
+
+
+class LayerConfig:
+    """One layer's config block, one attribute per field: a plain object, as the
+    layers read it on hot paths three times faster than a SimpleNamespace."""
+
+    def __init__(self, fields):
+        for key, value in fields.items():
+            setattr(self, key, value)
+
+
+def layer_configs(data):
+    """Each layer's block as a LayerConfig, with the null-derived fields filled
+    in: mcast.adv_ttl = R + 2, mcast.member_expiry_s = 3 * adv_period_s,
+    rr.l_limit_m = 2 * range_m * R and contacts.E_half = life * life, where
+    life = initial_j / drain_w is the lifetime every node starts with."""
+    cfg = {name: LayerConfig(data[name])
+           for name in ("zone", "contacts", "rr", "mcast", "mobility")}
+    R = data["zone"]["radius_R"]
+    mcast, rr, contacts = cfg["mcast"], cfg["rr"], cfg["contacts"]
+    if mcast.adv_ttl is None:
+        mcast.adv_ttl = R + 2
+    if mcast.member_expiry_s is None:
+        mcast.member_expiry_s = 3.0 * mcast.adv_period_s
+    if rr.l_limit_m is None:
+        rr.l_limit_m = 2.0 * data["radio"]["range_m"] * R
+    if contacts.E_half is None:
+        life = data["energy"]["initial_j"] / data["energy"]["drain_w"]
+        contacts.E_half = life * life
+    return cfg
 
 
 class Scenario:
@@ -112,8 +182,13 @@ class Scenario:
     def __eq__(self, other):
         return isinstance(other, Scenario) and self.data == other.data
 
-    def to_json(self):
-        return json.dumps(self.data, indent=2, sort_keys=True)
+    def to_json(self, resolved=False):
+        """The scenario as JSON; resolved fills in the null-derived fields."""
+        data = self.data
+        if resolved:
+            data = dict(data, **{name: vars(block)
+                                 for name, block in layer_configs(data).items()})
+        return json.dumps(data, indent=2, sort_keys=True)
 
     @property
     def seed(self):
@@ -124,6 +199,12 @@ class Scenario:
         return self.data["duration_s"]
 
 
+def _check(value, rule, path):
+    test, what = rule
+    if not test(value):
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+
+
 def _merge(schema, given, path):
     if not isinstance(given, dict):
         raise ConfigError(f"{path or 'scenario'}: expected an object")
@@ -131,89 +212,63 @@ def _merge(schema, given, path):
     if unknown:
         raise ConfigError(f"{path or 'scenario'}: unknown keys {sorted(unknown)}")
     out = {}
-    for key, default in schema.items():
+    for key, leaf in schema.items():
         full = f"{path}.{key}" if path else key
-        if isinstance(default, dict):
-            out[key] = _merge(default, given.get(key, {}), full)
-        elif key in given:
+        if isinstance(leaf, dict):
+            out[key] = _merge(leaf, given.get(key, {}), full)
+            continue
+        default, rule = leaf
+        if key in given:
+            _check(given[key], rule, full)
             out[key] = given[key]
         else:
             out[key] = default if not isinstance(default, list) else list(default)
     return out
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_positive(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-
-
-def _is_period(x):
-    # the kernel schedules in whole microseconds: a shorter period is 0 and
-    # re-arms at the same instant forever
-    return _is_positive(x) and math.isfinite(x) and int(x * US) > 0
-
-
-# dotted scenario path -> (test the value must pass, what it must be)
-FIELD_RULES = {
-    "node_count": (_is_int, "an integer"),
-    "zone.hello_interval_s": (_is_period, "a period of at least 1 us"),
-    "mcast.adv_period_s": (_is_period, "a period of at least 1 us"),
-    "rr.decision_period_s": (_is_period, "a period of at least 1 us"),
-    "energy.drain_w": (_is_positive, "positive"),
-}
-
-
-def _check_fields(data):
-    for dotted, (ok, what) in FIELD_RULES.items():
-        value = data
-        for key in dotted.split("."):
-            value = value[key]
-        if not ok(value):
-            raise ConfigError(f"{dotted} must be {what}, got {value!r}")
-
-
 def _validate(data):
-    _check_fields(data)
-    if data["node_count"] < 1:
-        raise ConfigError("node_count must be >= 1")
-    if data["duration_s"] <= 0:
-        raise ConfigError("duration_s must be positive")
-    if data["area"]["width_m"] <= 0 or data["area"]["height_m"] <= 0:
-        raise ConfigError("area dimensions must be positive")
+    mob, rr = data["mobility"], data["rr"]
+    if mob["speed_min"] > mob["speed_max"]:
+        raise ConfigError("mobility.speed_min must be <= mobility.speed_max")
+    cells = rr["grid_cols"] * rr["grid_rows"]
+    if (cells - 1).bit_length() > rr["prefix_bits"]:
+        raise ConfigError("rr grid does not fit in rr.prefix_bits")
     nodes = data["nodes"]
     if nodes is not None:
         if len(nodes) != data["node_count"]:
             raise ConfigError("nodes list length must equal node_count")
         for i, pos in enumerate(nodes):
-            if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-                raise ConfigError(f"nodes[{i}]: expected [x, y]")
+            if not (isinstance(pos, (list, tuple)) and len(pos) == 2
+                    and all(map(_is_real, pos))):
+                raise ConfigError(f"nodes[{i}]: expected [x, y] numbers, got {pos!r}")
             if not (0 <= pos[0] <= data["area"]["width_m"]
                     and 0 <= pos[1] <= data["area"]["height_m"]):
                 raise ConfigError(f"nodes[{i}]: position outside area")
         data["nodes"] = [[float(x), float(y)] for x, y in nodes]
     for i, d in enumerate(data["workload"]):
+        where = f"workload[{i}]"
         if not isinstance(d, dict):
-            raise ConfigError(f"workload[{i}]: expected an object")
-        if "op" not in d or "t" not in d:
-            raise ConfigError(f"workload[{i}]: needs 't' and 'op'")
-        op = d["op"]
-        if op not in WORKLOAD_OPS:
-            raise ConfigError(f"workload[{i}]: unknown op {op!r}")
-        if not (0 <= d["t"] <= data["duration_s"]):
-            raise ConfigError(f"workload[{i}]: t={d['t']} outside [0, duration]")
-        fields = WORKLOAD_OPS[op]
-        extra = set(d) - set(fields) - {"op", "t"}
+            raise ConfigError(f"{where}: expected an object")
+        op = d.get("op")
+        if not (isinstance(op, str) and op in WORKLOAD_OPS):
+            raise ConfigError(f"{where}: unknown op {op!r}")
+        fields = dict(WORKLOAD_OPS[op], t=(True, NONNEG))
+        extra = set(d) - set(fields) - {"op"}
         if extra:
-            raise ConfigError(f"workload[{i}]: unknown fields {sorted(extra)}")
-        for f, required in fields.items():
-            if required and f not in d:
-                raise ConfigError(f"workload[{i}]: {op} requires {f!r}")
-        for f in ("node",):
-            if f in d and not (0 <= d[f] < data["node_count"]):
-                raise ConfigError(f"workload[{i}]: node {d[f]} out of range")
+            raise ConfigError(f"{where}: unknown fields {sorted(extra)}")
+        for f, (required, rule) in fields.items():
+            if f in d:
+                _check(d[f], rule, f"{where}.{f}")
+            elif required:
+                raise ConfigError(f"{where}: {op} requires {f!r}")
+        if d["t"] > data["duration_s"]:
+            raise ConfigError(f"{where}: t={d['t']} outside [0, duration]")
+        if "node" in d and d["node"] >= data["node_count"]:
+            raise ConfigError(f"{where}: node {d['node']} out of range")
+        if d.get("prefix") is not None and d["prefix"] >= cells:
+            raise ConfigError(f"{where}: prefix {d['prefix']} outside the rr grid")
+        if d.get("suffix") is not None and d["suffix"].bit_length() > rr["suffix_bits"]:
+            raise ConfigError(f"{where}: suffix {d['suffix']} outside rr.suffix_bits")
     return data
 
 

@@ -2,11 +2,12 @@
 workload, and snapshot final state into the trace for offline metrics."""
 
 from .kernel import US, Kernel, RadioModel
-from .mobility import MobilityConfig, MobilityManager
-from .zone import ZoneConfig, ZoneRouting
-from .contacts import ContactsConfig, ContactManager
-from .rendezvous import GroupAddress, RendezvousConfig, RendezvousManager
-from .multicast import MulticastConfig, MulticastService
+from .mobility import MobilityManager
+from .zone import ZoneRouting
+from .contacts import ContactManager
+from .rendezvous import GroupAddress, RendezvousManager
+from .multicast import MulticastService
+from .scenario import layer_configs
 
 
 class Simulation:
@@ -24,18 +25,17 @@ class Simulation:
             one_hop_latency_s=data["radio"]["one_hop_latency_s"],
             trace_packets=data["debug"]["trace_packets"])
         self._place_nodes(data)
+        cfg = layer_configs(data)
         self.mobility = MobilityManager(
-            self.kernel, MobilityConfig(**data["mobility"]),
+            self.kernel, cfg["mobility"],
             availability_horizon_s=data["contacts"]["maintenance_period_s"])
-        self.zone = ZoneRouting(self.kernel, ZoneConfig(**data["zone"]),
-                                mobility=self.mobility)
-        self.contacts = ContactManager(self.kernel, ContactsConfig(**data["contacts"]),
-                                       self.zone, self.mobility)
-        self.rr = RendezvousManager(self.kernel, RendezvousConfig(**data["rr"]),
-                                    self.zone, self.contacts, self.mobility)
-        self.mcast = MulticastService(self.kernel, MulticastConfig(**data["mcast"]),
-                                      self.zone, self.contacts, self.rr,
-                                      self.mobility)
+        self.zone = ZoneRouting(self.kernel, cfg["zone"], mobility=self.mobility)
+        self.contacts = ContactManager(self.kernel, cfg["contacts"], self.zone,
+                                       self.mobility)
+        self.rr = RendezvousManager(self.kernel, cfg["rr"], self.zone,
+                                    self.contacts, self.mobility)
+        self.mcast = MulticastService(self.kernel, cfg["mcast"], self.zone,
+                                      self.contacts, self.rr, self.mobility)
         self.session_directory = {}    # name -> GroupAddress, harness-level view
         self._pending_senders = {}     # name -> (node, scope_ttl)
         self._data_seq = {}

@@ -15,19 +15,7 @@ the query's recorded path (kernel.reverse_route).
 from dataclasses import dataclass, field
 
 from .kernel import (US, BORDERCAST_QUERY, BORDERCAST_REPLY, HELLO,
-                     ZONE_LINK_STATE, ConfigError, reverse_route)
-
-
-@dataclass
-class ZoneConfig:
-    radius_R: int = 2
-    hello_interval_s: float = 1.0
-    bordercast_rounds: int = 8
-    recompute_delay_s: float = 0.05
-
-    def __post_init__(self):
-        if self.radius_R < 1:
-            raise ConfigError("zone radius must be >= 1")
+                     ZONE_LINK_STATE, reverse_route)
 
 
 @dataclass

@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+import math
+import signal
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcastsim.kernel import ConfigError
 from mcastsim.metrics import (compute_metrics, jsonl_to_trace, metrics_to_csv,
                               overlay_graph, overlay_graph_stats, trace_to_jsonl)
 from mcastsim.scenario import from_dict, load_scenario
-from mcastsim.sim import run_scenario
+from mcastsim.sim import Simulation, run_scenario
 
 from conftest import grid_positions
 
@@ -58,8 +61,9 @@ def test_nodes_length_must_match_count():
         from_dict({"node_count": 3, "nodes": [[1, 1], [2, 2]]})
 
 
-# Each of these hung the run, or failed in it with a TypeError,
-# ZeroDivisionError or a schedule in the past, before the field rules.
+# Each of these hung the run, failed at load with a TypeError or
+# OverflowError, failed after loading (in Simulation(...) or mid-run), or ran
+# misconfigured, before the field rules.
 BAD_FIELDS = {
     "node_count-str": {"node_count": "5"},
     "node_count-float": {"node_count": 5.0},
@@ -75,6 +79,41 @@ BAD_FIELDS = {
     "decision-sub-us": {"rr": {"decision_period_s": 1e-7}},
     "drain-zero": {"energy": {"drain_w": 0}},
     "drain-negative": {"energy": {"drain_w": -1.0}},
+    "duration-str": {"duration_s": "10"},
+    "duration-inf": {"duration_s": float("inf")},
+    "radius-zero": {"zone": {"radius_R": 0}},
+    "radius-str": {"zone": {"radius_R": "2"}},
+    "radius-float": {"zone": {"radius_R": 1.5}},
+    "range-negative": {"radio": {"range_m": -1}},
+    "path-loss-below-2": {"radio": {"path_loss_exp": 1}},
+    "latency-negative": {"radio": {"one_hop_latency_s": -0.001}},
+    "mobility-model-unknown": {"mobility": {"model": "teleport"}},
+    "step-zero": {"mobility": {"model": "random_walk", "step_interval_s": 0}},
+    "maintenance-zero": {"contacts": {"maintenance_period_s": 0}},
+    "contacts-enabled-str": {"contacts": {"enabled": "no"}},
+    "grid-cols-zero": {"rr": {"grid_cols": 0}},
+    "prefix-bits-negative": {"rr": {"prefix_bits": -1}},
+    "adv-ttl-zero": {"mcast": {"adv_ttl": 0}},
+    "width-str": {"area": {"width_m": "100"}},
+    "hello-overflows-us": {"zone": {"hello_interval_s": 1e303}},
+    "nodes-str": {"node_count": 1, "nodes": [["a", 1]]},
+    "directive-t-str": {"workload": [{"t": "1", "op": "freeze"}]},
+    "directive-node-str": {"workload": [{"t": 1, "op": "fail_node", "node": "0"}]},
+    "directive-count-str": {"workload": [{"t": 1, "op": "query_burst", "count": "2"}]},
+    "directive-scope-str": {"workload": [{"t": 1, "op": "register_session", "node": 0,
+                                          "name": "g", "scope_ttl": "3"}]},
+    "directive-name-list": {"workload": [{"t": 1, "op": "register_session", "node": 0,
+                                          "name": ["a"]}]},
+    "directive-rect-short": {"workload": [{"t": 1, "op": "partition", "rect": [0, 10]}]},
+    "directive-interval-negative": {"workload": [{"t": 1, "op": "send_data", "node": 0,
+                                                  "session": "g", "count": 2,
+                                                  "interval_s": -1}]},
+    "directive-prefix-outside-grid": {"workload": [{"t": 1, "op": "register_session",
+                                                    "node": 0, "name": "g",
+                                                    "prefix": 64}]},
+    "directive-suffix-too-wide": {"workload": [{"t": 1, "op": "register_session",
+                                                "node": 0, "name": "g", "prefix": 0,
+                                                "suffix": 256}]},
 }
 
 
@@ -87,6 +126,92 @@ def test_bad_field_rejected_at_load(bad):
 def test_one_microsecond_period_loads():
     s = from_dict({"zone": {"hello_interval_s": 1e-6}, "node_count": 1})
     assert s["zone"]["hello_interval_s"] == 1e-6
+
+
+# Edge values that ran without an error before the field rules and must
+# keep loading.
+EDGE_FIELDS = {
+    "latency-zero": {"radio": {"one_hop_latency_s": 0}},
+    "recompute-zero": {"zone": {"recompute_delay_s": 0}},
+    "no-contacts-kept": {"contacts": {"max_contacts": 0}},
+    "bonus-one": {"contacts": {"capability_bonus": 1}},
+    "no-register-retries": {"rr": {"register_max_retries": 0}},
+    "derived-given": {"mcast": {"adv_ttl": 1, "member_expiry_s": 0.5},
+                      "rr": {"l_limit_m": 10}, "contacts": {"E_half": 2.0}},
+    "scope-and-address": {"workload": [{"t": 1, "op": "register_session",
+                                        "node": 0, "name": "g", "prefix": 63,
+                                        "suffix": 255, "scope_ttl": None}]},
+}
+
+
+@pytest.mark.parametrize("edge", EDGE_FIELDS.values(), ids=EDGE_FIELDS.keys())
+def test_edge_field_loads(edge):
+    from_dict(edge)
+
+
+MUTANT_BASE = {
+    "node_count": 8, "duration_s": 2.0, "seed": 1,
+    "area": {"width_m": 300.0, "height_m": 300.0},
+    "radio": {"range_m": 120.0},
+    "rr": {"grid_cols": 2, "grid_rows": 1},
+    "mobility": {"model": "random_waypoint", "speed_min": 1.0, "speed_max": 5.0},
+    "nodes": grid_positions(8, 300.0, 300.0),
+    "workload": [
+        {"t": 0.05, "op": "register_session", "node": 0, "name": "g",
+         "prefix": 1, "suffix": 2, "scope_ttl": 4},
+        {"t": 0.1, "op": "register_session", "node": 1, "name": "h"},
+        {"t": 0.15, "op": "join", "node": 7, "session": "g"},
+        {"t": 0.2, "op": "send_data", "node": 0, "session": "g", "count": 3,
+         "interval_s": 0.05, "size": 100},
+        {"t": 0.25, "op": "query_burst", "count": 2, "budget": 2},
+        {"t": 0.3, "op": "bootstrap", "node": 3},
+        {"t": 0.35, "op": "partition", "rect": [0.0, 10.0, 0.0, 10.0]},
+        {"t": 0.4, "op": "leave", "node": 7, "session": "g"},
+        {"t": 0.45, "op": "fail_node", "node": 5},
+        {"t": 0.45, "op": "freeze"},
+    ],
+}
+
+
+def _tree_paths(tree, prefix=()):
+    for k, v in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _tree_paths(v, prefix + (k,))
+
+
+MUTANT_DATA = from_dict(MUTANT_BASE).data
+MUTANT_PATHS = list(_tree_paths(MUTANT_DATA))
+MUTANT_VALUES = [0, -1, 1e-7, 0.5, 3, "1", True, None, math.inf, math.nan, []]
+
+
+class _Hang(Exception):
+    pass
+
+
+def _raise_hang(signum, frame):
+    raise _Hang()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(MUTANT_PATHS), value=st.sampled_from(MUTANT_VALUES))
+def test_single_field_mutation_loads_and_runs_or_is_config_error(path, value):
+    data = json.loads(json.dumps(MUTANT_DATA))
+    cur = data
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    try:
+        scenario = from_dict(data)
+    except ConfigError:
+        return
+    old = signal.signal(signal.SIGALRM, _raise_hang)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        Simulation(scenario).run(until_s=0.5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_round_trip_is_identity():
@@ -269,6 +394,23 @@ def test_cli_run_writes_artifacts(tmp_path):
     assert resolved["zone"]["radius_R"] == 2
 
 
+def test_cli_resolved_scenario_records_derived_fields(tmp_path):
+    from mcastsim.cli import main
+    scen = write_scenario(tmp_path, {"zone": {"radius_R": 3},
+                                     "energy": {"initial_j": 500.0, "drain_w": 2.0}})
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scen, "--out", str(out)]) == 0
+    resolved = json.loads((out / "scenario_resolved.json").read_text())
+    assert resolved["mcast"]["adv_ttl"] == 3 + 2
+    assert resolved["mcast"]["member_expiry_s"] == 3.0 * resolved["mcast"]["adv_period_s"]
+    assert resolved["rr"]["l_limit_m"] == 2.0 * 200.0 * 3
+    assert resolved["contacts"]["E_half"] == (500.0 / 2.0) ** 2
+    again = tmp_path / "again"
+    assert main(["run", "--scenario", str(out / "scenario_resolved.json"),
+                 "--out", str(again)]) == 0
+    assert (again / "trace.jsonl").read_bytes() == (out / "trace.jsonl").read_bytes()
+
+
 def test_cli_seed_override_changes_trace(tmp_path):
     from mcastsim.cli import main
     scen = write_scenario(tmp_path, {"mobility": {"model": "random_waypoint",
@@ -324,6 +466,18 @@ def test_cli_sweep_runs_matrix(tmp_path):
     assert (out / "summary.csv").exists()
     assert (out / "contacts.enabled=true" / "seed0" / "metrics.csv").exists()
     assert (out / "contacts.enabled=false" / "seed1" / "metrics.csv").exists()
+
+
+def test_cli_sweep_derives_fields_per_value(tmp_path):
+    from mcastsim.cli import main
+    scen = write_scenario(tmp_path, {"duration_s": 1.0})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", scen, "--param", "zone.radius_R=1,3",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    for radius, adv_ttl in ((1, 3), (3, 5)):
+        resolved = json.loads((out / f"zone.radius_R={radius}" / "seed0" /
+                               "scenario_resolved.json").read_text())
+        assert resolved["mcast"]["adv_ttl"] == adv_ttl
 
 
 def test_cli_sweep_bad_param_is_config_error(tmp_path):
