@@ -50,11 +50,18 @@ GEOCAST = "geocast"
 
 
 def reverse_route(path_record, origin):
-    """Reply route for a recorded query path, cut at origin's first appearance."""
-    back = list(reversed(path_record[:-1])) + [origin]
-    if origin in back[:-1]:
-        back = back[:back.index(origin) + 1]
-    return back
+    """Reply route from the path's last node (the replier) back to origin.
+
+    Loops are erased as DSR does (Johnson & Maltz, 1996): for each node visited
+    more than once, the stretch between its first and last visit is cut.
+    """
+    route = []
+    for hop in list(reversed(path_record[:-1])) + [origin]:
+        if hop in route:
+            del route[route.index(hop) + 1:]
+        else:
+            route.append(hop)
+    return route
 
 
 @dataclass
@@ -333,7 +340,8 @@ class Kernel:
         """Record a source-routed packet at nid; return (previous hop, next hop).
 
         The previous hop of the first hop is the packet's source; the next hop
-        of the last hop is None. nid's position is its first one on the route.
+        of the last hop is None. A route visits each node once (reverse_route
+        erases the loops of reply routes), so nid's position on it is unique.
         """
         pkt.path_record.append(nid)
         route = pkt.payload["route"]

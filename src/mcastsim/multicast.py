@@ -8,8 +8,13 @@ set of receiver ids whose active path traverses it (down toward the member,
 up toward the sender) plus standby sets for precomputed alternate paths. A
 link is active exactly while an active reference exists, so the no-black-hole
 rule (members below imply an active branch) holds by construction, and a leave
-deactivates branches exactly as the emptied subtree unwinds. A receiver keeps
-its candidate upstream paths as Upstream records, exactly one of them active.
+deactivates branches exactly as the emptied subtree unwinds.
+
+A member holds one Receiver record per group: its staged discovery, its
+candidate upstream paths and a reference to the one path that carries data, so
+a receiver cannot have two active upstreams. The record lives exactly as long
+as the membership; a leave drops it and ends its discovery. Bootstrap session
+discovery runs on a Receiver of its own, outside any group.
 """
 
 from .kernel import (US, ADV, BRANCH_BREAK, DATA, GROUP_QUERY,
@@ -47,60 +52,63 @@ class Link:
 class Upstream:
     """One of a receiver's candidate paths toward the mesh (first hop first)."""
 
-    __slots__ = ("path", "stability", "active")
+    __slots__ = ("path", "stability")
 
-    def __init__(self, path, stability, active):
+    def __init__(self, path, stability):
         self.path = path
         self.stability = stability
-        self.active = active
 
 
-def best_standby(paths):
-    """The most stable, then shortest, inactive path; the earliest on ties."""
-    return min((p for p in paths if not p.active),
-               key=lambda p: (-p.stability, len(p.path)), default=None)
+class Receiver:
+    """A member's discovery and upstream paths, or a bootstrap's discovery.
 
+    resolved is True while no discovery runs (none started, answered, or the
+    member left); every scheduled stage callback checks it before acting.
+    """
 
-class MeshEntry:
-    __slots__ = ("roles", "links", "upstream_paths", "seen_data", "adv_seq")
+    __slots__ = ("key", "query_kind", "stage", "attempts", "timer", "resolved",
+                 "on_sessions", "paths", "active")
 
-    def __init__(self):
-        self.roles = set()          # {"sender", "receiver", "forwarder"}
-        self.links = {}             # peer -> Link
-        self.upstream_paths = []    # receiver side: Upstream, at most one active
-        self.seen_data = set()      # (src, seq)
-        self.adv_seq = 0
-
-    def active_paths(self):
-        return [p for p in self.upstream_paths if p.active]
+    def __init__(self, key, query_kind):
+        self.key = key
+        self.query_kind = query_kind   # "group_info" or "session_registry"
+        self.stage = 0
+        self.attempts = 0
+        self.timer = None
+        self.resolved = True
+        self.on_sessions = None
+        self.paths = []                # Upstream candidates
+        self.active = None             # the one of paths that carries data
 
     def upstream(self, path):
         """The candidate whose path equals path, or None (paths are unique)."""
-        for p in self.upstream_paths:
+        for p in self.paths:
             if p.path == path:
                 return p
         return None
 
+    def best_standby(self, live):
+        """The most stable, then shortest, inactive path of live; the earliest on ties."""
+        return min((p for p in live if p is not self.active),
+                   key=lambda p: (-p.stability, len(p.path)), default=None)
 
-class JoinState:
-    __slots__ = ("key", "stage", "attempts", "timer", "resolved", "query_kind",
-                 "on_sessions")
 
-    def __init__(self, key, query_kind):
-        self.key = key
-        self.stage = 0
-        self.attempts = 0
-        self.timer = None
-        self.resolved = False
-        self.query_kind = query_kind   # "group_info" or "session_registry"
-        self.on_sessions = None
+class MeshEntry:
+    __slots__ = ("roles", "links", "receiver", "seen_data", "adv_seq")
+
+    def __init__(self):
+        self.roles = set()          # {"sender", "forwarder"}
+        self.links = {}             # peer -> Link
+        self.receiver = None        # Receiver while this node is a member
+        self.seen_data = set()      # (src, seq)
+        self.adv_seq = 0
 
 
 class McastState:
     def __init__(self):
         self.groups = {}        # group key -> MeshEntry
         self.adv_cache = {}     # group key -> {sender -> {"path","stab","t_us","pos"}}
-        self.joins = {}         # join id -> JoinState
+        self.bootstrap = None   # Receiver of the latest session discovery
         self.pop = {}           # group key -> popularity bookkeeping
         self.seen = set()       # pids of the zone floods handled here
 
@@ -131,9 +139,9 @@ class MulticastService:
         kernel.register_handler(MESH_LEAVE, self._on_mesh_walk)
         kernel.register_handler(BRANCH_BREAK, self._on_branch_break)
         kernel.register_handler(DATA, self._on_data)
-        kernel.register_handler(GROUP_QUERY, self._dispatch_group_query)
-        kernel.register_handler(GROUP_QUERY_REPLY, self._on_group_reply)
-        kernel.register_handler(JOIN_REPLY, self._on_join_reply)
+        kernel.register_handler(GROUP_QUERY, self._on_group_query)
+        kernel.register_handler(GROUP_QUERY_REPLY, self._on_answer)
+        kernel.register_handler(JOIN_REPLY, self._on_answer)
         kernel.register_handler(SDS_ADVERT, self._on_local_sds_advert)
         kernel.on_link_change(self._on_link_change)
         zone_mgr.register_evaluator(self._eval_group_info)
@@ -164,7 +172,7 @@ class MulticastService:
             return
         for peer in [p for p, l in ent.links.items() if l.empty()]:
             del ent.links[peer]
-        if not ent.links and not ent.roles and not ent.upstream_paths:
+        if not ent.links and not ent.roles and ent.receiver is None:
             del self.kernel.nodes[nid].mcast.groups[key]
             self.mesh_nodes.get(key, set()).discard(nid)
 
@@ -258,83 +266,85 @@ class MulticastService:
     def receiver_join(self, nid, addr):
         """Run the staged discovery and join the group; progress is async."""
         key = addr.key()
-        state = self.kernel.nodes[nid].mcast
-        existing = state.joins.get(key)
-        if existing is not None and not existing.resolved:
-            return existing
-        join = JoinState(key, "group_info")
-        state.joins[key] = join
         ent = self.entry(nid, key, create=True)
-        ent.roles.add("receiver")
+        rec = ent.receiver
+        if rec is not None and not rec.resolved:
+            return rec
+        if rec is None:
+            rec = ent.receiver = Receiver(key, "group_info")
+        rec.attempts = 0
         self.contacts.record_discovery(nid)
-        self._stage_advance(nid, join)
-        return join
+        self._discover(nid, rec)
+        return rec
 
     def bootstrap_discover_sessions(self, nid, on_done=None):
         """Discover active sessions via the well-known session-advertisement group."""
-        key = (WELL_KNOWN_PREFIX, 0)
-        join = JoinState(key, "session_registry")
-        join.on_sessions = on_done
-        self.kernel.nodes[nid].mcast.joins[("bootstrap",) + key] = join
+        rec = Receiver((WELL_KNOWN_PREFIX, 0), "session_registry")
+        rec.on_sessions = on_done
+        self.kernel.nodes[nid].mcast.bootstrap = rec
         self.contacts.record_discovery(nid)
-        self._stage_advance(nid, join)
-        return join
+        self._discover(nid, rec)
+        return rec
 
-    def _trace_stage(self, nid, join, status, hops=None):
-        detail = {"g": list(join.key), "stage": join.stage, "status": status,
-                  "q": join.query_kind}
-        if hops is not None:
-            detail["hops"] = hops
-        self.kernel.trace(nid, "join_stage", detail)
+    def _discover(self, nid, rec):
+        """Start the staged discovery from stage 1; attempts sets the backoff."""
+        rec.stage = 0
+        rec.resolved = False
+        self._stage_advance(nid, rec)
 
-    def _stage_advance(self, nid, join):
-        if join.resolved or not self.kernel.nodes[nid].alive:
+    def _trace_stage(self, nid, rec, status, **extra):
+        self.kernel.trace(nid, "join_stage", {"g": list(rec.key), "stage": rec.stage,
+                                              "status": status, "q": rec.query_kind,
+                                              **extra})
+
+    def _stage_advance(self, nid, rec):
+        if rec.resolved or not self.kernel.nodes[nid].alive:
             return
-        join.stage += 1
-        if join.stage > 4:
-            self._trace_stage(nid, join, "pending")
-            backoff = min(self.config.join_backoff_s * (2 ** join.attempts),
+        rec.stage += 1
+        if rec.stage > 4:
+            self._trace_stage(nid, rec, "pending")
+            backoff = min(self.config.join_backoff_s * (2 ** rec.attempts),
                           self.config.join_max_backoff_s)
-            join.attempts += 1
-            join.stage = 0
-            self.kernel.schedule_in(int(backoff * US), self._stage_advance, nid, join)
+            rec.attempts += 1
+            rec.stage = 0
+            self.kernel.schedule_in(int(backoff * US), self._stage_advance, nid, rec)
             return
-        self._trace_stage(nid, join, "attempt")
+        self._trace_stage(nid, rec, "attempt")
         fn = (self._stage_zone, self._stage_contacts, self._stage_local,
-              self._stage_rr)[join.stage - 1]
-        fn(nid, join)
+              self._stage_rr)[rec.stage - 1]
+        fn(nid, rec)
 
-    def _arm_timeout(self, nid, join):
-        t = self._stage_timeouts[join.stage]
-        join.timer = self.kernel.schedule_in(int(t * US), self._stage_timeout,
-                                             nid, join, join.stage)
+    def _arm_timeout(self, nid, rec):
+        t = self._stage_timeouts[rec.stage]
+        rec.timer = self.kernel.schedule_in(int(t * US), self._stage_timeout,
+                                            nid, rec, rec.stage)
 
-    def _stage_timeout(self, nid, join, stage):
-        if join.resolved or join.stage != stage:
+    def _stage_timeout(self, nid, rec, stage):
+        if rec.resolved or rec.stage != stage:
             return
-        self._trace_stage(nid, join, "timeout")
-        self._stage_advance(nid, join)
+        self._trace_stage(nid, rec, "timeout")
+        self._stage_advance(nid, rec)
 
-    def _stage_zone(self, nid, join):
-        key = join.key
-        if join.query_kind == "group_info":
+    def _stage_zone(self, nid, rec):
+        key = rec.key
+        if rec.query_kind == "group_info":
             detail = self._local_group_info(nid, key)
         else:
             detail = self._eval_session_registry(nid, {"kind": "session_registry"})
         if detail is not None:
-            self._stage_success(nid, join, detail, [])
+            self._stage_success(nid, rec, detail, [])
             return
         sds = self._known_zone_sds(nid, key)
         route = self.zone.intra_zone_route(nid, sds) if sds is not None else None
         if not route:
-            self._trace_stage(nid, join, "miss")
-            self._stage_advance(nid, join)
+            self._trace_stage(nid, rec, "miss")
+            self._stage_advance(nid, rec)
             return
-        pred = {"kind": join.query_kind, "group": key}
+        pred = {"kind": rec.query_kind, "group": key}
         payload = {"pred": pred, "origin": nid, "join_key": list(key),
-                   "stage": join.stage}
+                   "stage": rec.stage}
         self.kernel.source_route(nid, GROUP_QUERY, route, payload)
-        self._arm_timeout(nid, join)
+        self._arm_timeout(nid, rec)
 
     def _local_group_info(self, nid, key):
         """Stage-1 knowledge: own adv cache, then own SDS records."""
@@ -368,57 +378,57 @@ class MulticastService:
             return detail["sds"]
         return None
 
-    def _stage_contacts(self, nid, join):
+    def _stage_contacts(self, nid, rec):
         if not self.kernel.nodes[nid].contacts.entries:
-            self._trace_stage(nid, join, "miss")
-            self._stage_advance(nid, join)
+            self._trace_stage(nid, rec, "miss")
+            self._stage_advance(nid, rec)
             return
-        pred = {"kind": join.query_kind, "group": join.key}
-        stage = join.stage
+        pred = {"kind": rec.query_kind, "group": rec.key}
+        stage = rec.stage
 
-        def on_reply(detail, qpath, _nid=nid, _join=join, _stage=stage):
-            if not _join.resolved and _join.stage == _stage:
-                self._stage_success(_nid, _join, detail, qpath)
+        def on_reply(detail, qpath, _nid=nid, _rec=rec, _stage=stage):
+            if not _rec.resolved and _rec.stage == _stage:
+                self._stage_success(_nid, _rec, detail, qpath)
 
         self.contacts.contact_query(nid, pred, on_reply,
                                     timeout_s=self._stage_timeouts[2])
-        self._arm_timeout(nid, join)
+        self._arm_timeout(nid, rec)
 
-    def _stage_local(self, nid, join):
+    def _stage_local(self, nid, rec):
         R = self.zone.config.radius_R
-        payload = {"group": list(join.key), "origin": nid, "stab": 1.0,
-                   "q": join.query_kind, "stage": join.stage}
+        payload = {"group": list(rec.key), "origin": nid, "stab": 1.0,
+                   "q": rec.query_kind, "stage": rec.stage}
         self._flood_out(nid, JOIN_QUERY, R, payload)
-        self._arm_timeout(nid, join)
+        self._arm_timeout(nid, rec)
 
-    def _stage_rr(self, nid, join):
-        kind = "join_query" if join.query_kind == "group_info" else "session_query"
-        self.rr.lar_send(nid, join.key[0], kind,
-                         {"group": list(join.key), "origin": nid,
-                          "stage": join.stage})
-        self._arm_timeout(nid, join)
+    def _stage_rr(self, nid, rec):
+        kind = "join_query" if rec.query_kind == "group_info" else "session_query"
+        self.rr.lar_send(nid, rec.key[0], kind,
+                         {"group": list(rec.key), "origin": nid,
+                          "stage": rec.stage})
+        self._arm_timeout(nid, rec)
 
-    def _stage_success(self, nid, join, detail, query_path):
-        if join.resolved:
+    def _stage_success(self, nid, rec, detail, query_path):
+        if rec.resolved:
             return
-        if join.timer is not None:
-            self.kernel.cancel(join.timer)
-        if join.query_kind == "group_info":
+        if rec.timer is not None:
+            self.kernel.cancel(rec.timer)
+        if rec.query_kind == "group_info":
             candidates = self._candidates_from_detail(nid, detail, query_path)
-            if self.send_join_request(nid, join.key, candidates) == 0:
+            if self.send_join_request(nid, rec.key, candidates) == 0:
                 # the answer offered nothing joinable (e.g. stale paths); keep looking
-                self._trace_stage(nid, join, "unusable")
-                self._stage_advance(nid, join)
+                self._trace_stage(nid, rec, "unusable")
+                self._stage_advance(nid, rec)
                 return
-        join.resolved = True
-        self._trace_stage(nid, join, "success", hops=len(query_path))
-        if join.query_kind == "session_registry":
+        rec.resolved = True
+        self._trace_stage(nid, rec, "success", hops=len(query_path))
+        if rec.query_kind == "session_registry":
             sessions = detail.get("sessions", {})
             for name, meta in sessions.items():
                 self.kernel.nodes[nid].sds.announcements.setdefault(name, dict(meta))
-            if join.on_sessions is not None:
-                join.on_sessions({name: GroupAddress(*meta["addr"])
-                                  for name, meta in sessions.items()})
+            if rec.on_sessions is not None:
+                rec.on_sessions({name: GroupAddress(*meta["addr"])
+                                 for name, meta in sessions.items()})
 
     # -- query evaluation (runs at remote nodes) --------------------------------------
 
@@ -441,13 +451,10 @@ class MulticastService:
             return None
         return {"sessions": {name: dict(meta) for name, meta in sorted(ann.items())}}
 
-    def _dispatch_group_query(self, nid, pkt, rx_power, sender):
+    def _on_group_query(self, nid, pkt, rx_power, sender):
         if pkt.payload.get("q") == "pop":
             self._flood_pop_query(nid, pkt)
-        else:
-            self._on_group_query(nid, pkt, rx_power, sender)
-
-    def _on_group_query(self, nid, pkt, rx_power, sender):
+            return
         if self.kernel.relay(nid, pkt):
             return
         self.contacts.record_discovery(nid)
@@ -468,24 +475,29 @@ class MulticastService:
                  "stage": asked.get("stage"), "qpath": list(query.path_record)}
         self._reply(nid, query, kind, inner, asked["origin"])
 
-    def _on_group_reply(self, nid, pkt, rx_power, sender):
+    def _on_answer(self, nid, pkt, rx_power, sender):
+        """Group-query and join replies: popularity, group sync, probe, discovery."""
         if self.kernel.relay(nid, pkt):
             return
         inner = pkt.payload["inner"]
-        if inner.get("pop") is not None:
-            self._collect_pop_reply(nid, tuple(inner["join_key"]), inner["pop"])
-            return
-        if inner.get("sync_for") is not None:
-            self._absorb_group_sync(nid, inner)
-            return
         key = tuple(inner["join_key"]) if inner.get("join_key") else None
-        self._resume_join(nid, key, inner)
+        if inner.get("pop") is not None:
+            self._collect_pop_reply(nid, key, inner["pop"])
+        elif inner.get("sync_for") is not None:
+            self._absorb_group_sync(nid, key, inner["detail"])
+        elif inner.get("probe"):
+            self._probe_result(nid, key, inner)
+        else:
+            self._resume_join(nid, key, inner)
 
     def _resume_join(self, nid, key, inner):
-        """Hand a discovery answer to the join still waiting at its stage."""
-        for j in self.kernel.nodes[nid].mcast.joins.values():
-            if j.key == key and not j.resolved and j.stage == inner.get("stage"):
-                self._stage_success(nid, j, inner["detail"], inner.get("qpath", []))
+        """Hand a discovery answer to the discovery still waiting at its stage."""
+        state = self.kernel.nodes[nid].mcast
+        ent = state.groups.get(key)
+        for rec in (ent and ent.receiver, state.bootstrap):
+            if (rec is not None and rec.key == key and not rec.resolved
+                    and rec.stage == inner.get("stage")):
+                self._stage_success(nid, rec, inner["detail"], inner.get("qpath", []))
                 return
 
     def _on_join_query(self, nid, pkt, rx_power, sender):
@@ -500,9 +512,7 @@ class MulticastService:
         stab = min(pkt.payload["stab"], self.mobility.stability(nid, sender))
         if pkt.payload["q"] == "group_info":
             self._pop_observe(nid, key)
-            detail = self._eval_group_info(nid, {"kind": "group_info", "group": key})
-        else:
-            detail = self._eval_session_registry(nid, {"kind": "session_registry"})
+        detail = self.zone.evaluate(nid, {"kind": pkt.payload["q"], "group": key})
         if detail is not None:
             self._answer(nid, pkt, GROUP_QUERY_REPLY, pkt.payload, detail,
                          list(key), stab=stab)
@@ -521,16 +531,6 @@ class MulticastService:
         else:
             return  # nothing to offer; the querier times out and retries
         self._answer(nid, pkt, JOIN_REPLY, inner, detail, list(key))
-
-    def _on_join_reply(self, nid, pkt, rx_power, sender):
-        if self.kernel.relay(nid, pkt):
-            return
-        inner = pkt.payload["inner"]
-        key = tuple(inner["join_key"])
-        if inner.get("probe"):
-            self._probe_result(nid, key, inner)
-            return
-        self._resume_join(nid, key, inner)
 
     def _rr_sender_update(self, nid, pkt):
         inner = pkt.payload["inner"]
@@ -580,15 +580,17 @@ class MulticastService:
                 probes.append(c)
         concrete.sort(key=lambda c: (-c["stability"], len(c["path"]), tuple(c["path"])))
         ent = self.entry(nid, key, create=True)
-        ent.roles.add("receiver")
+        if ent.receiver is None:
+            ent.receiver = Receiver(key, "group_info")
+        rec = ent.receiver
         launched = 0
         if concrete:
             picked = concrete[:self.config.max_paths]
             self.kernel.trace(nid, "join_request",
                               {"g": list(key), "n": len(picked)})
             for c in picked:
-                want_active = launched == 0 and not ent.active_paths()
-                if self._install_upstream(nid, key, c["path"], c["stability"],
+                want_active = launched == 0 and rec.active is None
+                if self._install_upstream(nid, rec, c["path"], c["stability"],
                                           active=want_active):
                     launched += 1
         if launched:
@@ -604,21 +606,23 @@ class MulticastService:
             launched += 1
         return launched
 
-    def _install_upstream(self, nid, key, path, stability, active):
+    def _install_upstream(self, nid, rec, path, stability, active):
         """Record a candidate path at the receiver and walk a join along it.
 
         Returns False when the path is unusable (first hop not adjacent)."""
         if not path or not self.kernel.are_neighbors(nid, path[0]):
             return False
-        ent = self.entry(nid, key, create=True)
+        key = rec.key
         path = list(path)
-        known = ent.upstream(path)
+        known = rec.upstream(path)
         if known is not None:
-            if active and not known.active:
+            if active and known is not rec.active:
                 self._activate_path(nid, key, known)
             return True
-        ent.upstream_paths.append(Upstream(path, stability, active))
+        up = Upstream(path, stability)
+        rec.paths.append(up)
         if active:
+            rec.active = up
             self.kernel.trace(nid, "branch_activate",
                               {"g": list(key), "via": path[0]})
         self._walk_join(nid, key, path, nid, active)
@@ -646,7 +650,7 @@ class MulticastService:
         prev, nxt = self.kernel.route_hop(nid, pkt)
         self._mark_link(nid, key, prev, r, active, up=False)
         ent = self.entry(nid, key)
-        if not ent.roles:
+        if not (ent.roles or ent.receiver):
             ent.roles.add("forwarder")
         if nxt is None:
             self._ensure_upstream(nid, key)
@@ -664,14 +668,11 @@ class MulticastService:
         if node is None:
             return
         ent = node.mcast.groups.get(key)
-        if ent is None:
-            return
-        dead = ent.upstream(route)
+        rec = ent and ent.receiver
+        dead = rec and rec.upstream(route)
         if dead is None:
             return
-        ent.upstream_paths.remove(dead)
-        self._walk_mode(receiver, key, route, "leave_path")
-        if dead.active:
+        if self._walk_off(receiver, rec, dead):
             self._failover(receiver, key)
 
     # -- mesh walks: explicit-route mark moves ------------------------------------------
@@ -736,28 +737,34 @@ class MulticastService:
             self._ensure_upstream(nid, key)
 
     def receiver_leave(self, nid, addr):
+        """Drop the membership: its paths are walked off, its discovery ends."""
         key = addr.key()
-        node = self.kernel.nodes[nid]
-        ent = node.mcast.groups.get(key)
-        if ent is None:
-            return
-        ent.roles.discard("receiver")
-        for p in list(ent.upstream_paths):
-            ent.upstream_paths.remove(p)
-            self._walk_mode(nid, key, p.path, "leave_path")
-        node.mcast.joins.pop(key, None)
+        ent = self.kernel.nodes[nid].mcast.groups.get(key)
+        rec = ent and ent.receiver
+        if rec is not None:
+            ent.receiver = None
+            rec.resolved = True
+            for p in list(rec.paths):
+                self._walk_off(nid, rec, p)
         self._gc_entry(nid, key)
+
+    def _walk_off(self, nid, rec, up):
+        """Forget candidate path up and walk its marks off; True if it was active."""
+        rec.paths.remove(up)
+        was_active = up is rec.active
+        if was_active:
+            rec.active = None
+        self._walk_mode(nid, rec.key, up.path, "leave_path")
+        return was_active
 
     def _activate_path(self, nid, key, up):
         """Make-before-break switch of the receiver's active upstream path."""
-        ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        old = [p for p in ent.active_paths() if p is not up]
-        up.active = True
+        rec = self.kernel.nodes[nid].mcast.groups[key].receiver
+        old, rec.active = rec.active, up
         self._walk_mode(nid, key, up.path, "upgrade")
         self.kernel.trace(nid, "branch_activate", {"g": list(key), "via": up.path[0]})
-        for p in old:
-            p.active = False
-            self._walk_mode(nid, key, p.path, "downgrade")
+        if old is not None and old is not up:
+            self._walk_mode(nid, key, old.path, "downgrade")
 
     # -- data plane -----------------------------------------------------------------
 
@@ -784,7 +791,7 @@ class MulticastService:
         if dd in ent.seen_data:
             return 0
         ent.seen_data.add(dd)
-        if "receiver" in ent.roles and nid != pkt.payload["src"]:
+        if ent.receiver is not None and nid != pkt.payload["src"]:
             self.kernel.trace(nid, "data_deliver",
                               {"g": list(key), "src": pkt.payload["src"],
                                "seq": pkt.payload["seq"]})
@@ -812,7 +819,7 @@ class MulticastService:
                 link = ent.links.get(peer)
                 if link is None:
                     continue
-                if link.up_for or ("receiver" in ent.roles and link.standby_up):
+                if link.up_for or (ent.receiver is not None and link.standby_up):
                     self.local_recovery(nid, key, peer)
                 elif link.down_members:
                     self._upstream_side_break(nid, key, peer)
@@ -820,7 +827,7 @@ class MulticastService:
                     del ent.links[peer]
                     self._gc_entry(nid, key)
             ent = state.groups.get(key)
-            if ent is not None and "receiver" in ent.roles:
+            if ent is not None and ent.receiver is not None:
                 for peer in added:
                     self.handoff_on_move(nid, key, peer)
                 if added or removed:
@@ -834,8 +841,8 @@ class MulticastService:
         if ent is None:
             return "failed"
         self._drop_up_marks(ent, broken_peer)
-        subtree = self._downstream_members(nid, key)
-        if "receiver" in ent.roles:
+        subtree = set().union(*(l.down_members for l in ent.links.values()))
+        if ent.receiver is not None:
             subtree.add(nid)
         patch, route = self._find_zone_splice(nid, key,
                                               exclude={broken_peer} | subtree | {nid})
@@ -846,7 +853,7 @@ class MulticastService:
                               {"g": list(key), "ok": True, "via": patch})
             return "repaired"
         self.kernel.trace(nid, "local_repair", {"g": list(key), "ok": False})
-        if "receiver" in ent.roles:
+        if ent.receiver is not None:
             self._failover(nid, key)
         for peer in sorted(ent.links):
             l = ent.links[peer]
@@ -865,14 +872,6 @@ class MulticastService:
             link.standby_up.clear()
             if link.empty():
                 del ent.links[peer]
-
-    def _downstream_members(self, nid, key):
-        ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        out = set()
-        if ent is not None:
-            for link in ent.links.values():
-                out |= link.down_members
-        return out
 
     def _find_zone_splice(self, nid, key, exclude):
         """Nearest mesh-active zone member with a route that still probes through."""
@@ -933,7 +932,7 @@ class MulticastService:
             return
         if any(l.up_for for l in ent.links.values()):
             return
-        if "receiver" in ent.roles and ent.active_paths():
+        if ent.receiver and ent.receiver.active:
             return
         if not any(l.down_members for l in ent.links.values()):
             return
@@ -945,7 +944,7 @@ class MulticastService:
         if ent is None:
             return
         self._drop_up_marks(ent, sender)
-        if "receiver" in ent.roles:
+        if ent.receiver is not None:
             self._failover(nid, key)
             return
         self.local_recovery(nid, key, sender)
@@ -953,48 +952,44 @@ class MulticastService:
     def _failover(self, nid, key):
         """Receiver lost its active path: activate the next-best standby or rejoin."""
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        if ent is None:
+        rec = ent and ent.receiver
+        if rec is None:
             return
         # the choice is made among the paths live before the dead ones are
         # walked off: a walk can re-enter _failover and install a new path
-        live = [p for p in ent.upstream_paths
+        live = [p for p in rec.paths
                 if p.path and self.kernel.are_neighbors(nid, p.path[0])]
-        for p in [p for p in ent.upstream_paths if p not in live]:
-            if p not in ent.upstream_paths:
+        for p in [p for p in rec.paths if p not in live]:
+            if p not in rec.paths:
                 continue  # a re-entered call has walked it off already
-            ent.upstream_paths.remove(p)
-            self._walk_mode(nid, key, p.path, "leave_path")
-        if any(p.active for p in live):
+            self._walk_off(nid, rec, p)
+        if rec.active in live:
             return
-        standby = best_standby(live)
+        standby = rec.best_standby(live)
         if standby is not None:
             self._activate_path(nid, key, standby)
             return
-        state = self.kernel.nodes[nid].mcast
-        join = state.joins.get(key)
-        if join is None or join.resolved:
-            fresh = JoinState(key, "group_info")
-            state.joins[key] = fresh
-            self._stage_advance(nid, fresh)
+        if rec.resolved:
+            rec.attempts = 0
+            self._discover(nid, rec)
 
     def handoff_on_move(self, nid, key, new_peer):
         """Graft through a newly adjacent mesh node; make-before-break."""
         ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        if ent is None or "receiver" not in ent.roles:
+        rec = ent and ent.receiver
+        if rec is None or not self.mesh_active(new_peer, key):
             return
-        if not self.mesh_active(new_peer, key):
+        old = rec.active
+        if old is not None and (len(old.path) <= 1 or old.path[0] == new_peer):
             return
-        active = ent.active_paths()
-        if active and (len(active[0].path) <= 1 or active[0].path[0] == new_peer):
-            return
-        if ent.upstream([new_peer]) is not None:
+        if rec.upstream([new_peer]) is not None:
             return
         hops = self._hops_to_mesh(nid, key)
-        ent.upstream_paths.append(Upstream([new_peer], 1.0, True))
+        rec.active = Upstream([new_peer], 1.0)
+        rec.paths.append(rec.active)
         self._walk_join(nid, key, [new_peer], nid, active=True)
-        for p in active:
-            p.active = False
-            self._walk_mode(nid, key, p.path, "downgrade")
+        if old is not None:
+            self._walk_mode(nid, key, old.path, "downgrade")
         self.kernel.trace(nid, "handoff",
                           {"g": list(key), "via": new_peer, "hops_to_mesh": hops})
 
@@ -1047,15 +1042,14 @@ class MulticastService:
 
     def _probe_result(self, nid, key, inner):
         path = list(inner.get("qpath", []))
-        if not path:
+        ent = self.kernel.nodes[nid].mcast.groups.get(key)
+        rec = ent and ent.receiver
+        if not path or rec is None or rec.upstream(path) is not None:
+            return  # nothing to install, the receiver has left, or known
+        active = rec.active is None
+        if not active and len(rec.paths) >= self.config.max_paths:
             return
-        ent = self.entry(nid, key, create=True)
-        if ent.upstream(path) is not None:
-            return
-        active = not ent.active_paths()
-        if not active and len(ent.upstream_paths) >= self.config.max_paths:
-            return
-        self._install_upstream(nid, key, path, inner["detail"].get("stab", 0.5),
+        self._install_upstream(nid, rec, path, inner["detail"].get("stab", 0.5),
                                active=active)
 
     # -- popularity adaptation ----------------------------------------------------------
@@ -1114,7 +1108,7 @@ class MulticastService:
         node = self.kernel.nodes[nid]
         ent = node.mcast.groups.get(key)
         out = {}
-        if ent is not None and ("receiver" in ent.roles or "sender" in ent.roles):
+        if ent is not None and (ent.receiver or "sender" in ent.roles):
             out["member"] = nid
         sds = node.sds
         if key in sds.local_groups or (key[0] in sds.prefixes
@@ -1187,10 +1181,9 @@ class MulticastService:
                  "sync_for": inner["origin"]}
         self._reply(nid, pkt, GROUP_QUERY_REPLY, reply, inner["origin"])
 
-    def _absorb_group_sync(self, nid, inner):
-        key = tuple(inner["join_key"])
-        for sid in sorted(inner["detail"].get("senders", {})):
-            meta = inner["detail"]["senders"][sid]
+    def _absorb_group_sync(self, nid, key, detail):
+        for sid in sorted(detail.get("senders", {})):
+            meta = detail["senders"][sid]
             self.rr.record_sender(nid, key, int(sid), meta["pos"], meta["route"])
 
     # -- maintenance / debug -----------------------------------------------------------
@@ -1224,8 +1217,7 @@ class MulticastService:
                 for peer, link in ent.links.items():
                     if link.down_members and not link.active():
                         problems.append((nid, key, peer, "black_hole"))
-                if "receiver" in ent.roles and ent.upstream_paths:
-                    n_active = len(ent.active_paths())
-                    if n_active != 1:
-                        problems.append((nid, key, None, f"active={n_active}"))
+                rec = ent.receiver
+                if rec is not None and rec.paths and rec.active not in rec.paths:
+                    problems.append((nid, key, None, "active=0"))
         return problems

@@ -1,4 +1,4 @@
-"""Smoke test of the committed benchmark: one traced tiny run of two workloads.
+"""Smoke test of the committed benchmark: one traced tiny run of each workload.
 
 It fails when a change in ``src/`` breaks what ``bench/`` reads from outside
 (method and callback names, state sizes, the per-layer metric set). The full
@@ -21,7 +21,7 @@ from test_bench import TINY  # noqa: E402
 SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("name", ["static-multicast", "mobile-large"])
+@pytest.mark.parametrize("name", ["static-multicast", "mobile-large", "soak"])
 def test_traced_tiny_run(name):
     log = io.StringIO()
     result = run.run_benchmark(name, 1, 0, 1, TINY[name], log=log)

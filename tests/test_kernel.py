@@ -251,6 +251,20 @@ def test_source_reply_without_a_path_reaches_origin_directly(static_line):
     assert ROUTED not in k.packet_counts
 
 
+def test_reply_route_is_loop_erased(static_line):
+    # a query that bounced 1 -> 2 -> 1 -> 2 is answered at 2: the reply goes
+    # 2 -> 1 -> 0, not 2 -> 1 -> 2 -> 1 -> 0 (where 2's second visit would
+    # send it back to 1 again, forever)
+    k = static_line.kernel
+    got = routed_log(k)
+    query = k.new_packet("test_query", 0, 8)
+    query.path_record = [1, 2, 1, 2]
+    k.source_reply(2, query, ROUTED, {}, origin=0)
+    run_s(static_line, 1.0)
+    assert got == [(0, [1, 0], 2)]
+    assert k.packet_counts[ROUTED] == 2
+
+
 def test_greedy_step_and_route_probe(static_line):
     k = static_line.kernel
     x8 = k.nodes[8].pos()

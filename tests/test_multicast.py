@@ -1,4 +1,5 @@
 from mcastsim.kernel import DATA
+from mcastsim.multicast import Receiver
 from mcastsim.rendezvous import GroupAddress
 
 from conftest import make_sim, line_positions, run_s
@@ -101,8 +102,8 @@ def test_receiver_near_adv_joins_from_own_cache():
     sim.mcast.receiver_join(2, addr)
     run_s(sim, 1.0)
     assert stages(sim, 2, addr.key()) == [(1, "attempt"), (1, "success")]
-    ent = sim.kernel.nodes[2].mcast.groups[addr.key()]
-    assert sum(p.active for p in ent.upstream_paths) == 1
+    rec = sim.kernel.nodes[2].mcast.groups[addr.key()].receiver
+    assert rec.active in rec.paths
 
 
 def test_receiver_finds_member_by_local_broadcast():
@@ -175,8 +176,8 @@ def test_single_candidate_becomes_active():
                                 [{"path": [2, 1, 0], "stability": 0.8,
                                   "sender": 0, "pos": None}])
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[3].mcast.groups[addr.key()]
-    assert [p.active for p in ent.upstream_paths] == [True]
+    rec = sim.kernel.nodes[3].mcast.groups[addr.key()].receiver
+    assert rec.paths == [rec.active]
     mid = sim.kernel.nodes[2].mcast.groups[addr.key()]
     assert mid.links[3].down_members == {3}
     assert mid.links[1].up_for == {3}
@@ -194,8 +195,8 @@ def test_candidates_ranked_by_stability():
     ]
     sim.mcast.send_join_request(5, addr.key(), cands)
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[5].mcast.groups[addr.key()]
-    picked = [(p.path, p.active) for p in ent.upstream_paths]
+    rec = sim.kernel.nodes[5].mcast.groups[addr.key()].receiver
+    picked = [(p.path, p is rec.active) for p in rec.paths]
     assert picked == [([4, 3, 0], True), ([2, 1, 0], False)]
 
 
@@ -212,8 +213,8 @@ def test_join_walk_break_discards_and_fails_over():
     ]
     sim.mcast.send_join_request(3, addr.key(), cands)
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[3].mcast.groups[addr.key()]
-    picked = [(p.path, p.active) for p in ent.upstream_paths]
+    rec = sim.kernel.nodes[3].mcast.groups[addr.key()].receiver
+    picked = [(p.path, p is rec.active) for p in rec.paths]
     assert picked == [([2, 1, 0], True)]
 
 
@@ -267,7 +268,7 @@ def test_duplicate_data_forwarded_once():
     sim = adv_line_sim(n=6)
     addr = GroupAddress(0, 1)
     key = addr.key()
-    sim.mcast.entry(3, key, create=True).roles.add("receiver")
+    sim.mcast.entry(3, key, create=True).receiver = Receiver(key, "group_info")
     link = sim.mcast._link(3, key, 2)
     link.down_members.add(99)
     mk = lambda: sim.kernel.new_packet(DATA, 9, 16,
@@ -316,6 +317,43 @@ def test_leave_cascades_deactivation_upstream():
     assert deact
 
 
+def test_leave_ends_a_running_discovery():
+    # with no sender yet node 5's discovery is backing off when it leaves;
+    # the backoff must not rejoin it once a sender appears
+    sim = adv_line_sim(n=7, adv_ttl=8)
+    addr = GroupAddress(0, 1)
+    key = addr.key()
+    sim.mcast.receiver_join(5, addr)
+    run_s(sim, 3.0)
+    sim.mcast.receiver_leave(5, addr)
+    left_us = sim.kernel.now_us
+    sim.mcast.start_sender(0, addr)
+    run_s(sim, 2.0)
+    for seq in (1, 2, 3):
+        sim.mcast.send_data(0, addr, seq=seq)
+    run_s(sim, 1.0)
+    after = [e[2] for e in sim.kernel.trace_events
+             if e[0] >= left_us and e[1] == 5
+             and e[2] in ("join_stage", "data_deliver")]
+    assert after == []
+    assert key not in sim.kernel.nodes[5].mcast.groups
+
+
+def test_probe_answer_after_leave_installs_nothing():
+    sim = adv_line_sim(n=7, adv_ttl=8)
+    addr = GroupAddress(0, 1)
+    key = addr.key()
+    sim.mcast.start_sender(0, addr)
+    run_s(sim, 1.0)
+    sim.mcast.send_join_request(5, key, [
+        {"path": None, "stability": 0.5, "sender": 0,
+         "pos": sim.kernel.nodes[0].pos()}])
+    sim.mcast.receiver_leave(5, addr)   # before the probe's answer is back
+    run_s(sim, 1.0)
+    assert key not in sim.kernel.nodes[5].mcast.groups
+    assert not sim.mcast.mesh_active(4, key)
+
+
 def test_path_switch_keeps_exactly_one_active():
     sim = adv_line_sim(n=6)
     addr = GroupAddress(0, 1)
@@ -328,11 +366,10 @@ def test_path_switch_keeps_exactly_one_active():
     ]
     sim.mcast.send_join_request(3, key, cands)
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[3].mcast.groups[key]
-    standby = [p for p in ent.upstream_paths if not p.active][0]
+    rec = sim.kernel.nodes[3].mcast.groups[key].receiver
+    standby = [p for p in rec.paths if p is not rec.active][0]
     sim.mcast._activate_path(3, key, standby)
-    assert sum(p.active for p in ent.upstream_paths) == 1
-    assert standby.active
+    assert rec.active is standby
     run_s(sim, 1.0)
     assert sim.kernel.nodes[4].mcast.groups[key].links[3].down_members == {3}
     old = sim.kernel.nodes[2].mcast.groups[key].links
@@ -374,10 +411,9 @@ def test_standby_activated_when_active_path_dies():
     sim.kernel.nodes[2].alive = False
     sim.kernel.rebuild_links()
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[5].mcast.groups[key]
-    active = [p for p in ent.upstream_paths if p.active]
-    assert len(active) == 1
-    assert active[0].path[0] == 4
+    rec = sim.kernel.nodes[5].mcast.groups[key].receiver
+    assert rec.active in rec.paths
+    assert rec.active.path[0] == 4
     sim.mcast.send_data(0, addr, seq=42)
     run_s(sim, 1.0)
     assert delivered_seqs(sim, 5, key) == [42]
@@ -439,15 +475,15 @@ def test_failover_survives_reentry_through_forwarded_receiver():
     sim.mcast.send_join_request(4, key, [
         {"path": [3, 2, 1, 0], "stability": 0.9, "sender": 0, "pos": None}])
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[3].mcast.groups[key]
-    assert [(p.path, p.active) for p in ent.upstream_paths] == [
+    rec = sim.kernel.nodes[3].mcast.groups[key].receiver
+    assert [(p.path, p is rec.active) for p in rec.paths] == [
         ([2, 1, 0], True), ([2, 5, 0], False)]
     killed_us = sim.kernel.now_us
     sim.kernel.nodes[2].alive = False
     sim.kernel.rebuild_links()
     run_s(sim, 1.0)
-    assert all(p.path[0] != 2 for p in ent.upstream_paths)
-    assert sum(p.active for p in ent.upstream_paths) <= 1
+    assert all(p.path[0] != 2 for p in rec.paths)
+    assert rec.active is None or rec.active in rec.paths
     rejoins = [e for e in sim.kernel.trace_events
                if e[0] >= killed_us and e[1] == 3 and e[2] == "join_stage"
                and e[3]["stage"] == 1 and e[3]["status"] == "attempt"]
@@ -467,10 +503,9 @@ def test_total_partition_rejoins_pend():
         sim.kernel.nodes[dead].alive = False
     sim.kernel.rebuild_links()
     run_s(sim, 3.0)
-    ent = sim.kernel.nodes[5].mcast.groups.get(key)
-    assert ent is None or not any(p.active for p in ent.upstream_paths)
-    join = sim.kernel.nodes[5].mcast.joins.get(key)
-    assert join is not None and not join.resolved
+    rec = sim.kernel.nodes[5].mcast.groups[key].receiver
+    assert rec.active is None
+    assert not rec.resolved
 
 
 def test_handoff_grafts_through_new_neighbor():
@@ -481,18 +516,15 @@ def test_handoff_grafts_through_new_neighbor():
     run_s(sim, 1.0)
     sim.mcast.receiver_join(5, addr)
     run_s(sim, 2.0)
-    old_first = [p for p in
-                 sim.kernel.nodes[5].mcast.groups[key].upstream_paths
-                 if p.active][0].path[0]
+    old_first = sim.kernel.nodes[5].mcast.groups[key].receiver.active.path[0]
     assert old_first == 4
     sim.kernel.nodes[5].x = 150.0   # jump next to forwarder 1
     sim.kernel.nodes[5].y = 10.0
     sim.kernel.rebuild_links()
     run_s(sim, 1.0)
-    ent = sim.kernel.nodes[5].mcast.groups[key]
-    active = [p for p in ent.upstream_paths if p.active]
-    assert len(active) == 1
-    assert len(active[0].path) == 1
+    rec = sim.kernel.nodes[5].mcast.groups[key].receiver
+    assert rec.active in rec.paths
+    assert len(rec.active.path) == 1
     handoffs = [e for e in sim.kernel.trace_events if e[2] == "handoff"]
     assert handoffs and handoffs[0][1] == 5
     sim.mcast.send_data(0, addr, seq=3)
@@ -509,7 +541,7 @@ def test_handoff_noop_without_mesh_neighbor():
     sim.mcast.receiver_join(3, addr)
     run_s(sim, 2.0)
     before = [list(p.path) for p in
-              sim.kernel.nodes[3].mcast.groups[key].upstream_paths]
+              sim.kernel.nodes[3].mcast.groups[key].receiver.paths]
     sim.kernel.nodes[3].y = 95.0    # sideways: neighbor set shifts, no mesh there
     sim.kernel.rebuild_links()
     run_s(sim, 1.0)
