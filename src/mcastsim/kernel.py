@@ -396,16 +396,23 @@ class Kernel:
         # dispatches exactly once, so its handler may mutate it; broadcast
         # handlers must hop_copy() before mutating (after their dedup checks).
         dst = packet.dst
-        if dst is not None and not self.trace_packets:
-            if dst not in receivers:
-                return
-            node = self.nodes.get(dst)
-            if node is None or not node.alive:
-                return
+        if not self.trace_packets:
             handler = self.handlers.get(packet.kind)
-            if handler is not None:
-                rx = powers[receivers.index(dst)] if powers else None
-                handler(dst, packet, rx, sender)
+            if handler is None:
+                return
+            nodes = self.nodes
+            if dst is not None:
+                if dst not in receivers:
+                    return
+                node = nodes.get(dst)
+                if node is not None and node.alive:
+                    rx = powers[receivers.index(dst)] if powers else None
+                    handler(dst, packet, rx, sender)
+                return
+            for i, nid in enumerate(receivers):
+                node = nodes.get(nid)
+                if node is not None and node.alive:
+                    handler(nid, packet, powers[i] if powers else None, sender)
             return
         for i, nid in enumerate(receivers):
             node = self.nodes.get(nid)

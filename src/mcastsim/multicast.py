@@ -281,7 +281,10 @@ class MulticastService:
         """Discover active sessions via the well-known session-advertisement group."""
         rec = Receiver((WELL_KNOWN_PREFIX, 0), "session_registry")
         rec.on_sessions = on_done
-        self.kernel.nodes[nid].mcast.bootstrap = rec
+        state = self.kernel.nodes[nid].mcast
+        if state.bootstrap is not None:
+            state.bootstrap.resolved = True   # the newest discovery replaces it
+        state.bootstrap = rec
         self.contacts.record_discovery(nid)
         self._discover(nid, rec)
         return rec

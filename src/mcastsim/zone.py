@@ -4,7 +4,7 @@ with border-node identification; reactive bordercast queries beyond the zone.
 Every node floods a link-state advert R hops on neighbor-set change (plus a
 cheap same-sequence refresh each hello interval, which duplicate suppression
 keeps to one hop). A node joining a link additionally receives the peer's
-advert cache, so newcomers converge without waiting for refloods. Zone tables
+zone adverts, so newcomers converge without waiting for refloods. Zone tables
 are rebuilt by bounded BFS over the advert set; an edge is accepted only when
 both endpoints' adverts (or the owner's own neighbor set) confirm it, which
 purges stale members as soon as the fresher side updates. Bordercast queries
@@ -33,7 +33,7 @@ class ZoneState:
 
     def __init__(self):
         self.table = ZoneTable()
-        self.adverts = {}      # origin -> (seq, frozenset(neighbors), contact_count)
+        self.adverts = {}      # origin -> (seq, sorted neighbor tuple, contact_count)
         self.parents = {}      # member -> predecessor on shortest path from owner
         self.my_seq = 0
         self.dirty = False
@@ -86,7 +86,7 @@ class ZoneRouting:
         payload = {
             "origin": nid,
             "seq": zone.my_seq,
-            "nbrs": self.kernel.neighbors(nid),
+            "nbrs": self.kernel.sorted_neighbors(nid),
             "contacts": self.contact_count_fn(nid),
         }
         pkt = self.kernel.new_packet(ZONE_LINK_STATE, nid, self.config.radius_R, payload)
@@ -107,8 +107,7 @@ class ZoneRouting:
         cur = zone.adverts.get(origin)
         if cur is not None and cur[0] >= seq:
             return
-        zone.adverts[origin] = (seq, frozenset(pkt.payload["nbrs"]),
-                                pkt.payload["contacts"])
+        zone.adverts[origin] = (seq, pkt.payload["nbrs"], pkt.payload["contacts"])
         self._mark_dirty(nid)
         self.kernel.forward(nid, pkt, None)
 
@@ -118,14 +117,17 @@ class ZoneRouting:
             return
         node.zone.advert_dirty = True
         self._mark_dirty(nid)
-        # advert bursts ride the next cycle; a fresh link also syncs caches so
-        # a node entering an established zone learns its members immediately
+        # advert bursts ride the next cycle; a fresh link also hands over the
+        # peer's zone adverts so a node entering an established zone learns its
+        # members immediately
         for peer in added:
             pnode = self.kernel.nodes.get(peer)
             if pnode is None or pnode.zone is None or not pnode.alive:
                 continue
-            snapshot = [(o, s[0], s[1], s[2]) for o, s in sorted(pnode.zone.adverts.items())]
-            snapshot.append((peer, pnode.zone.my_seq, self.kernel.neighbors(peer),
+            padverts = pnode.zone.adverts
+            snapshot = [(o, *padverts[o]) for o in sorted(pnode.zone.table.members)
+                        if o in padverts]
+            snapshot.append((peer, pnode.zone.my_seq, self.kernel.sorted_neighbors(peer),
                              self.contact_count_fn(peer)))
             self._merge_snapshot(nid, snapshot)
 
@@ -137,7 +139,7 @@ class ZoneRouting:
                 continue
             cur = zone.adverts.get(origin)
             if cur is None or cur[0] < seq:
-                zone.adverts[origin] = (seq, frozenset(nbrs), contacts)
+                zone.adverts[origin] = (seq, nbrs, contacts)
                 changed = True
         if changed:
             self._mark_dirty(nid)
@@ -180,7 +182,7 @@ class ZoneRouting:
                 if adv_u is None:
                     continue
                 next_hop = members[u][1]
-                for v in sorted(adv_u[1]):
+                for v in adv_u[1]:
                     if v == nid or v in members:
                         continue
                     adv_v = adverts.get(v)

@@ -590,6 +590,26 @@ def test_bootstrap_empty_registry_returns_empty():
     assert found == [{}]
 
 
+def test_second_bootstrap_ends_the_first_discovery():
+    # no registry anywhere: every discovery runs its stages and backs off
+    sim = make_sim(node_count=4, nodes=line_positions(4, 100.0),
+                   radio={"range_m": 120.0}, zone={"radius_R": 2},
+                   area={"width_m": 1200.0, "height_m": 100.0},
+                   rr={"grid_cols": 1, "grid_rows": 1})
+    no_self_promotion(sim)
+    run_s(sim, 2.0)
+    first = sim.mcast.bootstrap_discover_sessions(3)
+    run_s(sim, 0.5)
+    second = sim.mcast.bootstrap_discover_sessions(3)
+    run_s(sim, 5.5)
+    attempts = [e[0] for e in sim.kernel.trace_events
+                if e[2] == "join_stage" and e[1] == 3 and e[3]["stage"] == 1
+                and e[3]["status"] == "attempt"]
+    assert first.resolved and not second.resolved
+    # one attempt per bootstrap, then only the newest record backs off
+    assert attempts == [2_000_000, 2_500_000, 6_054_000]
+
+
 def test_bootstrap_discovers_registered_session():
     sim = make_sim(node_count=30, seed=13, duration_s=90.0,
                    area={"width_m": 600.0, "height_m": 600.0},

@@ -387,6 +387,36 @@ def test_split_region_covers_only_seeded_component():
     assert set(reached) == {1, 4}   # bridge heard it; cluster B never rebroadcast
 
 
+def test_flooded_request_is_handled_once_by_lowest_live_server():
+    sim = one_region_sim()
+    for n in sim.kernel.nodes.values():
+        n.sds_capable = False
+    run_s(sim, 2.0)
+    servers = (21, 7, 30)
+    for sid in servers:
+        sim.rr.sds_on_promote(sid, 0)
+    run_s(sim, 1.0)
+    assert all(set(servers) <= set(sim.kernel.nodes[s].sds.known_sds[0])
+               for s in servers)
+    got = []
+    sim.rr.register_rr_handler("probe", lambda nid, pkt: got.append(
+        (nid, pkt.pid, pkt.path_record)))
+    # the sender knows no server, so its region request floods the region
+    sim.kernel.nodes[0].sds.known_sds.clear()
+    before = sim.kernel.packet_counts.get(GEOCAST, 0)
+    pid = sim.rr.lar_send(0, 0, "probe", {"origin": 0})
+    run_s(sim, 1.0)
+    assert sim.kernel.packet_counts.get(GEOCAST, 0) > before
+    assert all(pid in sim.kernel.nodes[s].sds.seen_pids for s in servers)
+    assert got == [(7, pid, [])]
+    # a second flood of the same request is dropped at every server
+    inner = {"pkt_payload": {"prefix": 0, "inner_kind": "probe", "inner": {}},
+             "path": [], "pid": list(pid)}
+    sim.rr.geocast(0, sim.rr.grid.rect_of_prefix(0), "lar_rr", inner)
+    run_s(sim, 1.0)
+    assert got == [(7, pid, [])]
+
+
 # -- session registration ------------------------------------------------------------------
 
 def region_sim_with_sds(**kw):
