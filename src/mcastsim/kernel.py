@@ -396,37 +396,28 @@ class Kernel:
         # dispatches exactly once, so its handler may mutate it; broadcast
         # handlers must hop_copy() before mutating (after their dedup checks).
         dst = packet.dst
-        if not self.trace_packets:
-            handler = self.handlers.get(packet.kind)
-            if handler is None:
+        handler = self.handlers.get(packet.kind)
+        nodes = self.nodes
+        trace_packets = self.trace_packets
+        if dst is not None and not trace_packets:
+            if handler is None or dst not in receivers:
                 return
-            nodes = self.nodes
-            if dst is not None:
-                if dst not in receivers:
-                    return
-                node = nodes.get(dst)
-                if node is not None and node.alive:
-                    rx = powers[receivers.index(dst)] if powers else None
-                    handler(dst, packet, rx, sender)
-                return
-            for i, nid in enumerate(receivers):
-                node = nodes.get(nid)
-                if node is not None and node.alive:
-                    handler(nid, packet, powers[i] if powers else None, sender)
+            node = nodes.get(dst)
+            if node is not None and node.alive:
+                rx = powers[receivers.index(dst)] if powers else None
+                handler(dst, packet, rx, sender)
             return
         for i, nid in enumerate(receivers):
-            node = self.nodes.get(nid)
+            node = nodes.get(nid)
             if node is None or not node.alive:
                 continue
-            if self.trace_packets:
+            if trace_packets:
                 self.trace(nid, "packet_recv",
                            {"pkt": packet.kind, "from": sender, "dst": dst})
             if dst is not None and dst != nid:
                 continue
-            handler = self.handlers.get(packet.kind)
             if handler is not None:
-                rx = powers[i] if powers else None
-                handler(nid, packet, rx, sender)
+                handler(nid, packet, powers[i] if powers else None, sender)
 
     # -- trace ------------------------------------------------------------
 
