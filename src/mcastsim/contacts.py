@@ -289,13 +289,14 @@ class ContactManager:
         self.record_discovery(nid)
         self._qid += 1
         qid = (nid, self._qid, "cq")
-        self._pending[qid] = {"pending": set(state.entries), "cb": on_reply}
         self.kernel.trace(nid, "contact_query", {"n": len(state.entries)})
+        if not state.entries:
+            return qid
+        self._pending[qid] = {"pending": set(state.entries), "cb": on_reply}
         for cid in sorted(state.entries):
             self.kernel.source_route(nid, CONTACT_QUERY, state.entries[cid].route,
                                      {"qid": qid, "pred": pred, "origin": nid})
-        if state.entries:
-            self.kernel.schedule_in(int(timeout_s * US), self._expire, qid)
+        self.kernel.schedule_in(int(timeout_s * US), self._expire, qid)
         return qid
 
     def _on_query(self, nid, pkt, rx_power, sender):
@@ -334,9 +335,7 @@ class ContactManager:
             rec["cb"](pkt.payload["detail"], pkt.payload["query_path"])
 
     def _expire(self, qid):
-        rec = self._pending.get(qid)
-        if rec is None:
-            return
+        rec = self._pending.pop(qid)
         nid = qid[0]
         for cid in sorted(rec["pending"]):
             if cid in self.kernel.nodes[nid].contacts.entries:

@@ -1,13 +1,16 @@
 """Node movement models and the link-stability estimators feeding contact selection.
 
-Link up/down intervals are observed from connectivity changes; received-power
-samples come from hello receptions. Availability is estimated empirically as
-the fraction of completed up-intervals (pooled across peers) that lasted at
-least the queried horizon.
+Each node keeps two maps of link observations. ``powers[peer]`` holds the two
+newest received powers ``(older, newer)`` from hello receptions; ``older`` is
+None after one sample. Relative mobility reads only these two. ``up_since[peer]``
+holds the start time of each link that is open now; when the link goes, its
+up-interval moves into ``completed_s``. Availability is estimated empirically
+as the fraction of completed up-intervals (pooled across peers) that lasted at
+least the queried horizon, with open links that already outlasted it counted
+as survivors.
 """
 
 import math
-from collections import deque
 
 from .kernel import US, ConfigError
 
@@ -17,25 +20,6 @@ RANDOM_WAYPOINT = "random_waypoint"
 MODELS = (STATIONARY, RANDOM_WALK, RANDOM_WAYPOINT)
 
 
-class LinkHistory:
-    """Per-peer observation record: bounded power-sample ring plus open interval."""
-
-    __slots__ = ("samples", "up_since_us")
-
-    def __init__(self):
-        self.samples = deque(maxlen=8)  # (t_us, watts)
-        self.up_since_us = None
-
-    def add_sample(self, t_us, power_w):
-        self.samples.append((t_us, power_w))
-
-    def latest_metric(self):
-        """Relative mobility from the two newest power samples; 0 if fewer than two."""
-        if len(self.samples) < 2:
-            return 0.0
-        return relative_mobility(self.samples[-1][1], self.samples[-2][1])
-
-
 class NodeMobility:
     """Per-node mobility state: movement model progress and link observations."""
 
@@ -43,15 +27,9 @@ class NodeMobility:
         self.target = None        # waypoint target (x, y)
         self.speed = 0.0
         self.pause_until_us = 0
-        self.histories = {}       # peer -> LinkHistory
+        self.powers = {}          # peer -> (older, newer) received power in watts
+        self.up_since = {}        # peer -> start time (us) of the link open now
         self.completed_s = []     # pooled completed up-interval durations (seconds)
-
-    def history(self, peer):
-        h = self.histories.get(peer)
-        if h is None:
-            h = LinkHistory()
-            self.histories[peer] = h
-        return h
 
 
 def relative_mobility(power_new, power_old):
@@ -88,23 +66,22 @@ def availability_estimate(completed_s, open_elapsed_s, horizon_s,
 
 
 def link_availability(mob, horizon_s, now_us=None, min_samples=5, prior=0.5):
-    """Pooled availability over a node's link history."""
+    """Pooled availability over a node's completed and open links."""
     opens = []
     if now_us is not None:
-        for hist in mob.histories.values():
-            if hist.up_since_us is not None:
-                opens.append((now_us - hist.up_since_us) / US)
+        opens = [(now_us - t) / US for t in mob.up_since.values()]
     return availability_estimate(mob.completed_s, opens, horizon_s,
                                  min_samples, prior)
 
 
 def stability_estimate(mob, peer, horizon_s, now_us=None, min_samples=5, prior=0.5):
     """S_est = availability(horizon) * sigmoid(latest relative-mobility sample)."""
-    hist = mob.histories.get(peer)
-    if hist is None or not hist.samples:
+    pair = mob.powers.get(peer)
+    if pair is None:
         return prior
     a_hat = link_availability(mob, horizon_s, now_us, min_samples, prior)
-    s = a_hat * sigmoid(hist.latest_metric())
+    older, newer = pair
+    s = a_hat * sigmoid(0.0 if older is None else relative_mobility(newer, older))
     return min(1.0, max(0.0, s))
 
 
@@ -193,15 +170,16 @@ class MobilityManager:
             return
         now = self.kernel.now_us
         for peer in added:
-            node.mob.history(peer).up_since_us = now
+            node.mob.up_since[peer] = now
         for peer in removed:
-            hist = node.mob.histories.get(peer)
-            if hist is not None and hist.up_since_us is not None:
-                node.mob.completed_s.append((now - hist.up_since_us) / US)
-                hist.up_since_us = None
+            since = node.mob.up_since.pop(peer, None)
+            if since is not None:
+                node.mob.completed_s.append((now - since) / US)
 
     def record_power_sample(self, nid, peer, power_w):
-        self.kernel.nodes[nid].mob.history(peer).add_sample(self.kernel.now_us, power_w)
+        powers = self.kernel.nodes[nid].mob.powers
+        last = powers.get(peer)
+        powers[peer] = (None if last is None else last[1], power_w)
 
     def reported_position(self, nid):
         """Node's own position estimate; Gaussian noise models GPS-less approximation."""
@@ -216,7 +194,3 @@ class MobilityManager:
     def stability(self, nid, peer):
         return stability_estimate(self.kernel.nodes[nid].mob, peer,
                                   self.horizon_s, self.kernel.now_us)
-
-    def availability(self, nid, horizon_s):
-        return link_availability(self.kernel.nodes[nid].mob, horizon_s,
-                                 self.kernel.now_us)

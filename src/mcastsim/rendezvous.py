@@ -563,7 +563,6 @@ class RendezvousManager:
                    "scope_ttl": scope_ttl, "tries": 0, "confirmed": False}
         self._pending_sessions[(initiator, name)] = pending
         self._send_register(initiator, pending)
-        return pending
 
     def _send_register(self, initiator, pending):
         pending["tries"] += 1
@@ -588,7 +587,6 @@ class RendezvousManager:
             suffix = 1
         addr = GroupAddress(pending["prefix"], suffix)
         pending["confirmed"] = True
-        pending["provisional"] = True
         self.kernel.trace(initiator, "session_register",
                           {"name": name, "addr": list(addr.key()),
                            "provisional": True})

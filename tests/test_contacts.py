@@ -207,8 +207,10 @@ def test_contact_query_reaches_beyond_bordercast():
     got = []
     sim.contacts.contact_query(0, {"kind": "find_node", "target": 6},
                                on_reply=lambda d, p: got.append((d, p)))
+    assert len(sim.contacts._pending) == 1
     run_s(sim, 1.0)
     assert got, "contact should answer from its zone"
+    assert sim.contacts._pending == {}, "the record expires with its timeout"
     detail, qpath = got[0]
     assert detail["route"][-1] == 6
     full = qpath + detail["route"]
@@ -227,6 +229,7 @@ def test_no_contacts_yields_no_replies():
     got = []
     sim.contacts.contact_query(0, {"kind": "find_node", "target": 6},
                                on_reply=lambda d, p: got.append(d))
+    assert sim.contacts._pending == {}, "nothing to wait for, nothing to expire"
     run_s(sim, 1.0)
     assert got == []
 

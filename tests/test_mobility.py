@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcastsim.kernel import US, ConfigError
-from mcastsim.mobility import (availability_estimate, relative_mobility, sigmoid,
-                               stability_estimate, NodeMobility)
+from mcastsim.mobility import (availability_estimate, link_availability,
+                               relative_mobility, sigmoid, stability_estimate,
+                               NodeMobility)
 
 from conftest import make_sim, run_s
 
@@ -129,8 +130,8 @@ def test_stationary_scenario_availability_tends_to_one():
     sim = make_sim(node_count=12, seed=2, duration_s=1.0,
                    area={"width_m": 300.0, "height_m": 300.0})
     run_s(sim, 30.0)
-    vals = [sim.mobility.availability(nid, 5.0) for nid in sim.kernel.nodes
-            if len(sim.kernel.neighbors(nid)) >= 5]
+    vals = [link_availability(sim.kernel.nodes[nid].mob, 5.0, sim.kernel.now_us)
+            for nid in sim.kernel.nodes if len(sim.kernel.neighbors(nid)) >= 5]
     assert vals and all(v == 1.0 for v in vals)
 
 
@@ -154,15 +155,11 @@ def test_availability_nonincreasing_in_horizon(completed, opens, t1, t2):
 
 def _mob_with_samples(powers, completed=(), opens_elapsed=(), now_us=10 * US):
     mob = NodeMobility()
-    h = mob.history(1)
-    for i, p in enumerate(powers):
-        h.add_sample(i, p)
+    mob.powers[1] = tuple(powers)    # (older, newer)
     mob.completed_s = list(completed)
-    if opens_elapsed:
-        # fake extra peers with long-open links
-        for i, el in enumerate(opens_elapsed):
-            hh = mob.history(100 + i)
-            hh.up_since_us = now_us - int(el * US)
+    # fake extra peers with long-open links
+    for i, el in enumerate(opens_elapsed):
+        mob.up_since[100 + i] = now_us - int(el * US)
     return mob
 
 
