@@ -45,28 +45,35 @@ def cmd_run(args):
     return 0
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def _set_path(data, dotted, value):
-    parts = dotted.split(".")
+    """Set the field at a dotted path to value, converted to the type of the
+    value it replaces; ConfigError when the path or the value does not fit."""
+    *parents, leaf = dotted.split(".")
     cur = data
-    for p in parts[:-1]:
-        if p not in cur:
-            raise ConfigError(f"unknown parameter path {dotted!r}")
-        cur = cur[p]
-    if parts[-1] not in cur:
+    for p in parents:
+        cur = cur.get(p) if isinstance(cur, dict) else None
+    if not isinstance(cur, dict) or leaf not in cur:
         raise ConfigError(f"unknown parameter path {dotted!r}")
-    old = cur[parts[-1]]
-    if isinstance(old, bool):
-        value = value.lower() in ("1", "true", "yes", "on")
-    elif isinstance(old, int) and not isinstance(old, bool):
-        value = int(value)
-    elif isinstance(old, float):
-        value = float(value)
-    elif old is None:
-        try:
-            value = float(value) if "." in value else int(value)
-        except ValueError:
-            pass
-    cur[parts[-1]] = value
+    old = cur[leaf]
+    try:
+        if isinstance(old, bool):
+            value = _BOOLS[value.lower()]
+        elif isinstance(old, int):
+            value = int(value)
+        elif isinstance(old, float):
+            value = float(value)
+        elif old is None:
+            try:
+                value = float(value) if "." in value else int(value)
+            except ValueError:
+                pass
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value {value!r} for {dotted!r}") from None
+    cur[leaf] = value
 
 
 def cmd_sweep(args):

@@ -2,6 +2,12 @@
 and the source-routing, greedy-step and route-probe helpers the layers share.
 
 Time is kept as integer microseconds so event ordering and traces are exact.
+Events run in order of time, then FIFO: two events for the same instant run in
+the order they were scheduled, including one scheduled for the current instant
+from inside another. The pending events are kept as a min-heap of distinct
+instants plus one deque per instant, so events that share an instant share one
+heap entry. A handle is the hashable pair ``(t_us, seq)``, where ``seq``
+numbers the schedule calls.
 Links are unit-disk (inclusive boundary); the path-loss formula is only used
 to produce received-power samples, never to drop packets.
 """
@@ -9,6 +15,7 @@ to produce received-power samples, never to drop packets.
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 US = 1_000_000  # microseconds per second
@@ -133,10 +140,10 @@ class Kernel:
         self.trace_packets = trace_packets
 
         self.nodes = {}
-        self._queue = []           # (t_us, seq, handle)
+        self._times = []           # min-heap of the distinct pending instants
+        self._buckets = {}         # t_us -> deque of (seq, fn, args), FIFO
+        self._cancelled = set()    # seqs of pending events that will not run
         self._seq = 0
-        self._handles = {}         # handle -> (fn, args)
-        self._next_handle = 0
         self._pkt_seq = 0
 
         self._nbr_sets = {}        # nid -> frozenset of neighbor ids
@@ -230,35 +237,57 @@ class Kernel:
     # -- events ---------------------------------------------------------------
 
     def schedule_at(self, t_us, fn, *args):
+        """Run fn(*args) at t_us; return its handle ``(t_us, seq)``."""
         if t_us < self.now_us:
             raise ConfigError(f"scheduling in the past: {t_us} < {self.now_us}")
-        handle = self._next_handle
-        self._next_handle += 1
-        self._handles[handle] = (fn, args)
-        heapq.heappush(self._queue, (t_us, self._seq, handle))
-        self._seq += 1
-        return handle
+        seq = self._seq
+        self._seq = seq + 1
+        bucket = self._buckets.get(t_us)
+        if bucket is None:
+            bucket = self._buckets[t_us] = deque()
+            heapq.heappush(self._times, t_us)
+        bucket.append((seq, fn, args))
+        return (t_us, seq)
 
     def schedule_in(self, dt_us, fn, *args):
         return self.schedule_at(self.now_us + int(dt_us), fn, *args)
 
     def cancel(self, handle):
-        self._handles.pop(handle, None)
+        """Keep a pending event from running; a no-op for one that ran or was skipped.
+
+        handle is the ``(t_us, seq)`` pair schedule_at returned. Events run by
+        time, then FIFO, so they leave each instant's deque from the head in seq
+        order: an event is pending while its instant's deque exists and the
+        deque's head is not later than it.
+        """
+        t_us, seq = handle
+        bucket = self._buckets.get(t_us)
+        if bucket and bucket[0][0] <= seq:
+            self._cancelled.add(seq)
 
     def run_until(self, t_us):
-        """Process all events with time <= t_us; advance the clock to t_us."""
+        """Process all events with time <= t_us, by time and then FIFO; advance
+        the clock to t_us. An event scheduled for the current instant runs in
+        this call, after the events already scheduled for it."""
         if t_us < self.now_us:
             raise ConfigError("run_until target is in the past")
-        while self._queue and self._queue[0][0] <= t_us:
-            ev_t, _, handle = heapq.heappop(self._queue)
-            entry = self._handles.pop(handle, None)
-            if entry is None:
-                continue  # cancelled
+        times = self._times
+        buckets = self._buckets
+        cancelled = self._cancelled
+        while times and times[0] <= t_us:
+            ev_t = times[0]
+            bucket = buckets[ev_t]
             self.now_us = ev_t
-            fn, args = entry
-            fn(*args)
-            if self.debug_hook is not None:
-                self.debug_hook()
+            while bucket:
+                seq, fn, args = bucket.popleft()
+                if seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                fn(*args)
+                if self.debug_hook is not None:
+                    self.debug_hook()
+            heapq.heappop(times)
+            del buckets[ev_t]
         self.now_us = t_us
 
     # -- radio ----------------------------------------------------------------
@@ -295,8 +324,8 @@ class Kernel:
             self.trace(sender, "packet_send",
                        {"pkt": packet.kind, "to": list(receivers)})
         if receivers:
-            self.schedule_in(self.latency_us, self._deliver, sender, packet,
-                             receivers, powers)
+            self.schedule_at(self.now_us + self.latency_us, self._deliver, sender,
+                             packet, receivers, powers)
 
     def forward(self, nid, pkt, dst):
         """Relay a copy of pkt one hop to dst (None: a broadcast), spending one

@@ -485,3 +485,17 @@ def test_cli_sweep_bad_param_is_config_error(tmp_path):
     scen = write_scenario(tmp_path)
     assert main(["sweep", "--scenario", scen, "--param", "zone.bogus=1",
                  "--seeds", "1", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("param", [
+    "radio.range_m=abc",   # not a float
+    "node_count=2.5",      # not an int
+    "seed.x=1",            # a path through a non-dict
+    "debug.sweep=ture",    # not a boolean word
+])
+def test_cli_sweep_bad_value_is_config_error(tmp_path, param):
+    from mcastsim.cli import main
+    scen = write_scenario(tmp_path)
+    assert main(["sweep", "--scenario", scen, "--param", param,
+                 "--seeds", "1", "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()

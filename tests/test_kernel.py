@@ -1,4 +1,6 @@
+import heapq
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +58,110 @@ def test_run_until_empty_queue_advances_clock():
     k = bare_kernel([(0, 0)])
     k.run_until(7 * US)
     assert k.now_us == 7 * US
+
+
+class HeapKernel(Kernel):
+    """The former event set, kept as the reference: one heap entry
+    ``(t_us, seq, handle)`` per event and a handle table that cancel empties."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._queue = []
+        self._handles = {}
+        self._next_handle = 0
+
+    def schedule_at(self, t_us, fn, *args):
+        if t_us < self.now_us:
+            raise ConfigError(f"scheduling in the past: {t_us} < {self.now_us}")
+        handle = self._next_handle
+        self._next_handle += 1
+        self._handles[handle] = (fn, args)
+        heapq.heappush(self._queue, (t_us, self._seq, handle))
+        self._seq += 1
+        return handle
+
+    def cancel(self, handle):
+        self._handles.pop(handle, None)
+
+    def run_until(self, t_us):
+        if t_us < self.now_us:
+            raise ConfigError("run_until target is in the past")
+        while self._queue and self._queue[0][0] <= t_us:
+            ev_t, _, handle = heapq.heappop(self._queue)
+            entry = self._handles.pop(handle, None)
+            if entry is None:
+                continue
+            self.now_us = ev_t
+            fn, args = entry
+            fn(*args)
+        self.now_us = t_us
+
+
+def random_program(k, seed, check=None):
+    """Drive k with a seeded random program; return (label, now_us) per firing.
+
+    Events land on a few instants so that they collide; callbacks schedule
+    more, some for the current instant, and cancel pending events, events
+    that ran, the same event twice, and later events of the current instant.
+    ``check(k)`` runs after every ``run_until``.
+    """
+    rng = random.Random(seed)
+    fired, handles = [], []
+    offsets = (0, 0, 1000, 1000, 2000, 5000)
+
+    def add(t_us):
+        label = len(handles)
+        handles.append(k.schedule_at(t_us, event, label))
+
+    def event(label):
+        fired.append((label, k.now_us))
+        for _ in range(rng.randrange(3)):
+            roll = rng.random()
+            if roll < 0.3 and len(handles) < 400:
+                add(k.now_us + rng.choice(offsets))
+            elif roll < 0.45 and len(handles) < 400:
+                handles.append(k.schedule_in(0, event, len(handles)))
+                if rng.random() < 0.5:
+                    k.cancel(handles[-1])
+            elif roll < 0.8 and handles:
+                k.cancel(rng.choice(handles))
+                if rng.random() < 0.2:
+                    k.cancel(handles[-1])
+                    k.cancel(handles[-1])
+
+    for _ in range(rng.randrange(10, 40)):
+        add(rng.choice(offsets) + rng.choice(offsets))
+    for _ in range(rng.randrange(1, 60)):
+        if rng.random() < 0.3:
+            k.cancel(rng.choice(handles))
+        if rng.random() < 0.4:
+            add(k.now_us + rng.choice(offsets))
+        k.run_until(k.now_us + rng.choice((0, 0, 500, 1000, 1500, 3000)))
+        if check is not None:
+            check(k)
+    k.run_until(k.now_us + 3 * US)  # past the last instant a chain can reach
+    if check is not None:
+        check(k)
+    return fired, handles
+
+
+def check_event_set(k):
+    pending = {seq for bucket in k._buckets.values() for seq, _, _ in bucket}
+    assert k._cancelled <= pending
+    assert sorted(k._times) == sorted(k._buckets)
+    assert len(set(k._times)) == len(k._times)
+    assert all(k._buckets.values())
+
+
+def test_event_order_matches_the_heap_and_handle_table():
+    """Instant buckets fire in exactly the (t, seq) order of the former heap."""
+    for seed in range(300):
+        ref, _ = random_program(HeapKernel(100.0, 100.0, seed=seed), seed)
+        k = Kernel(100.0, 100.0, seed=seed)
+        got, handles = random_program(k, seed, check_event_set)
+        assert got == ref, seed
+        assert len(set(handles)) == len(handles)
+        assert not k._cancelled and not k._times and not k._buckets
 
 
 # -- neighbors ------------------------------------------------------------------
