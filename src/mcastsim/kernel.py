@@ -10,6 +10,18 @@ heap entry. A handle is the hashable pair ``(t_us, seq)``, where ``seq``
 numbers the schedule calls.
 Links are unit-disk (inclusive boundary); the path-loss formula is only used
 to produce received-power samples, never to drop packets.
+
+Delivery contract: a transmission reaches its handler one hop later, as
+``fn(nid, packet, rx_power, sender)`` per live receiver, or only at
+``packet.dst`` when that is set. The kinds in ``BATCH_KINDS`` (the zone advert
+and group-query floods, whose receptions are mostly duplicates) instead reach
+their handler once per transmission, with the tuple of receivers as the first
+argument: every neighbor that heard it, in ascending order, live or not, or
+``(dst,)`` for a dst-directed packet. Such a handler walks the tuple itself,
+skips receivers that are not alive, and acts for each in order, so the events
+it schedules keep the order of per-receiver calls. With packet tracing on, every
+kind is delivered per receiver, a batch kind as the one-receiver tuple
+``(nid,)``, after that receiver's ``packet_recv`` event.
 """
 
 import heapq
@@ -54,6 +66,9 @@ GROUP_QUERY = "group_query"
 GROUP_QUERY_REPLY = "group_query_reply"
 LAR_FORWARD = "lar_forward"
 GEOCAST = "geocast"
+
+# Kinds whose handler takes the tuple of receivers of one transmission
+BATCH_KINDS = frozenset({ZONE_LINK_STATE, GROUP_QUERY})
 
 
 def reverse_route(path_record, origin):
@@ -149,7 +164,8 @@ class Kernel:
         self._nbr_sets = {}        # nid -> frozenset of neighbor ids
         self._nbr_sorted = {}      # nid -> tuple, rebuilt (not mutated) per rebuild
         self._link_listeners = []
-        self.handlers = {}         # packet kind -> fn(nid, packet, rx_power, sender)
+        self.handlers = {}         # packet kind -> fn(nid or receivers, packet,
+                                   #                 rx_power, sender)
         self.packet_counts = {}    # kind -> transmissions
         self.trace_events = []     # (t_us, node, kind, detail)
         self.debug_hook = None     # called after every processed event
@@ -293,6 +309,8 @@ class Kernel:
     # -- radio ----------------------------------------------------------------
 
     def register_handler(self, kind, fn):
+        """fn(nid, packet, rx_power, sender) handles kind's receptions; nid is the
+        tuple of receivers for the kinds in BATCH_KINDS."""
         self.handlers[kind] = fn
 
     def new_packet(self, kind, src, ttl_hops, payload=None, dst=None):
@@ -421,21 +439,31 @@ class Kernel:
         return True
 
     def _deliver(self, sender, packet, receivers, powers):
-        # Handlers receive the transmitted object itself. A dst-directed packet
-        # dispatches exactly once, so its handler may mutate it; broadcast
-        # handlers must hop_copy() before mutating (after their dedup checks).
+        """Hand one transmission to its kind's handler (see the module docstring).
+
+        Handlers receive the transmitted object itself. A dst-directed packet
+        dispatches exactly once, so its handler may mutate it; broadcast
+        handlers must hop_copy() before mutating (after their dedup checks).
+        """
         dst = packet.dst
         handler = self.handlers.get(packet.kind)
+        batch = packet.kind in BATCH_KINDS
         nodes = self.nodes
         trace_packets = self.trace_packets
-        if dst is not None and not trace_packets:
-            if handler is None or dst not in receivers:
+        if not trace_packets:
+            if handler is None:
                 return
-            node = nodes.get(dst)
-            if node is not None and node.alive:
-                rx = powers[receivers.index(dst)] if powers else None
-                handler(dst, packet, rx, sender)
-            return
+            if dst is not None:
+                if dst not in receivers:
+                    return
+                node = nodes.get(dst)
+                if node is not None and node.alive:
+                    rx = powers[receivers.index(dst)] if powers else None
+                    handler((dst,) if batch else dst, packet, rx, sender)
+                return
+            if batch:
+                handler(receivers, packet, None, sender)
+                return
         for i, nid in enumerate(receivers):
             node = nodes.get(nid)
             if node is None or not node.alive:
@@ -446,7 +474,8 @@ class Kernel:
             if dst is not None and dst != nid:
                 continue
             if handler is not None:
-                handler(nid, packet, powers[i] if powers else None, sender)
+                handler((nid,) if batch else nid, packet,
+                        powers[i] if powers else None, sender)
 
     # -- trace ------------------------------------------------------------
 

@@ -6,10 +6,13 @@ import json
 import random
 from collections import Counter
 
-from .kernel import US
+from .kernel import US, ConfigError
 
 PAIR_SAMPLES = 1000
 ALL_PAIRS_LIMIT = 200
+
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def trace_to_jsonl(trace_events):
@@ -17,18 +20,24 @@ def trace_to_jsonl(trace_events):
     for t_us, node, kind, detail in trace_events:
         obj = {"t": round(t_us / US, 6), "node": node, "kind": kind,
                "detail": detail}
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        lines.append(_encode(obj))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def jsonl_to_trace(text):
+    """Parse trace_to_jsonl's output; ConfigError names the first line that is
+    not a trace event."""
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        out.append((int(round(obj["t"] * US)), obj["node"], obj["kind"],
-                    obj["detail"]))
+        try:
+            obj = json.loads(line)
+            out.append((int(round(obj["t"] * US)), obj["node"], obj["kind"],
+                        obj["detail"]))
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
+            raise ConfigError(f"trace line {lineno} is not a trace event: "
+                              f"{type(e).__name__}: {e}") from None
     return out
 
 

@@ -454,10 +454,13 @@ class MulticastService:
             return None
         return {"sessions": {name: dict(meta) for name, meta in sorted(ann.items())}}
 
-    def _on_group_query(self, nid, pkt, rx_power, sender):
+    def _on_group_query(self, receivers, pkt, rx_power, sender):
+        """A popularity-query flood, heard by receivers, or a source-routed
+        stage query at its one receiver."""
         if pkt.payload.get("q") == "pop":
-            self._flood_pop_query(nid, pkt)
+            self._flood_pop_query(receivers, pkt)
             return
+        nid, = receivers
         if self.kernel.relay(nid, pkt):
             return
         self.contacts.record_discovery(nid)
@@ -1096,16 +1099,22 @@ class MulticastService:
         self.kernel.schedule_in(int(self.config.group_query_window_s * US),
                                 self.popularity_update, nid, key)
 
-    def _flood_pop_query(self, nid, pkt):
-        pkt = self._flood_in(nid, pkt)
-        if pkt is None:
-            return
+    def _flood_pop_query(self, receivers, pkt):
+        """Each live receiver that has not seen the query answers it when it
+        can and relays its own copy."""
+        pid = pkt.pid
+        nodes = self.kernel.nodes
         key = tuple(pkt.payload["group"])
-        detail = self._pop_eval(nid, key)
-        if detail is not None:
-            inner = {"pop": detail, "join_key": list(key)}
-            self._reply(nid, pkt, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
-        self.kernel.forward(nid, pkt, None)
+        for nid in receivers:
+            node = nodes[nid]
+            if not node.alive or pid in node.mcast.seen:
+                continue
+            mine = self._flood_in(nid, pkt)
+            detail = self._pop_eval(nid, key)
+            if detail is not None:
+                inner = {"pop": detail, "join_key": list(key)}
+                self._reply(nid, mine, GROUP_QUERY_REPLY, inner, pkt.payload["origin"])
+            self.kernel.forward(nid, mine, None)
 
     def _pop_eval(self, nid, key):
         node = self.kernel.nodes[nid]

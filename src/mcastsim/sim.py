@@ -1,7 +1,7 @@
 """Simulation orchestration: wire the protocol stack from a scenario, drive the
 workload, and snapshot final state into the trace for offline metrics."""
 
-from .kernel import US, Kernel, RadioModel
+from .kernel import US, ConfigError, Kernel, RadioModel
 from .mobility import MobilityManager
 from .zone import ZoneRouting
 from .contacts import ContactManager
@@ -167,7 +167,11 @@ class Simulation:
     # -- running ----------------------------------------------------------------------
 
     def run(self, until_s=None):
+        """Run to until_s (default: the scenario's end), then snapshot."""
         end = self.scenario.duration_s if until_s is None else until_s
+        if not 0 <= end <= self.scenario.duration_s:  # also rejects NaN
+            raise ConfigError(f"until {until_s!r} is not within 0 .. duration_s "
+                              f"({self.scenario.duration_s})")
         self.kernel.run_until(int(end * US))
         self._final_snapshot()
         return self.kernel.trace_events

@@ -98,18 +98,27 @@ class ZoneRouting:
 
     # -- advert propagation -----------------------------------------------------
 
-    def _on_advert(self, nid, pkt, rx_power, sender):
-        zone = self.kernel.nodes[nid].zone
-        origin = pkt.payload["origin"]
-        if origin == nid:
-            return
-        seq = pkt.payload["seq"]
-        cur = zone.adverts.get(origin)
-        if cur is not None and cur[0] >= seq:
-            return
-        zone.adverts[origin] = (seq, pkt.payload["nbrs"], pkt.payload["contacts"])
-        self._mark_dirty(nid)
-        self.kernel.forward(nid, pkt, None)
+    def _on_advert(self, receivers, pkt, rx_power, sender):
+        """One advert transmission: each live receiver other than its origin that
+        holds an older advert (or none) stores it, marks its zone dirty and relays."""
+        payload = pkt.payload
+        origin = payload["origin"]
+        seq = payload["seq"]
+        entry = (seq, payload["nbrs"], payload["contacts"])
+        nodes = self.kernel.nodes
+        for nid in receivers:
+            if nid == origin:
+                continue
+            node = nodes[nid]
+            if not node.alive:
+                continue
+            adverts = node.zone.adverts
+            cur = adverts.get(origin)
+            if cur is not None and cur[0] >= seq:
+                continue
+            adverts[origin] = entry
+            self._mark_dirty(nid)
+            self.kernel.forward(nid, pkt, None)
 
     def _on_link_change(self, nid, added, removed):
         node = self.kernel.nodes[nid]

@@ -55,3 +55,19 @@ def test_tracer_sees_every_event_the_kernel_runs():
         sim.kernel.run_until(int(sim.scenario.duration_s * US))
     assert tracer.events > 1000
     assert ran == tracer.events
+
+
+def test_tracer_times_the_batch_kind_handlers():
+    """The advert and group-query handlers take the tuple of receivers, and
+    the tracer must still see them: a registration path that bypasses
+    ``Kernel.register_handler`` leaves these spans empty."""
+    scen = scenarios("soak", 1, TINY["soak"])[0]
+    tracer = LayerTracer()
+    with tracer.installed():
+        sim = Simulation(from_dict(scen))
+        tracer.reset()
+        sim.kernel.run_until(int(sim.scenario.duration_s * US))
+    for key in (("zone", "handler:zone_link_state"),
+                ("multicast", "handler:group_query")):
+        assert tracer.calls[key] > 0, key
+        assert tracer.self_s[key] > 0, key

@@ -431,6 +431,27 @@ def test_cli_until_stops_early(tmp_path):
     assert last["t"] <= 2.0
 
 
+@pytest.mark.parametrize("until", ["nan", "inf", "-inf", "1e308", "8.5", "-1"])
+def test_cli_until_outside_the_run_is_config_error(tmp_path, until):
+    """A non-finite, negative or past-the-end --until is refused before the
+    run (the scenario lasts 8 s); 1e308 would otherwise simulate on and on."""
+    from mcastsim.cli import main
+    scen = write_scenario(tmp_path)
+    assert main(["run", "--scenario", scen, "--out", str(tmp_path / "o"),
+                 f"--until={until}"]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_until_at_duration_is_the_full_run(tmp_path):
+    from mcastsim.cli import main
+    scen = write_scenario(tmp_path)
+    full, until = tmp_path / "full", tmp_path / "until"
+    assert main(["run", "--scenario", scen, "--out", str(full)]) == 0
+    assert main(["run", "--scenario", scen, "--out", str(until),
+                 "--until", "8.0"]) == 0
+    assert (until / "trace.jsonl").read_bytes() == (full / "trace.jsonl").read_bytes()
+
+
 def test_cli_missing_scenario_is_config_error(tmp_path):
     from mcastsim.cli import main
     assert main(["run", "--scenario", str(tmp_path / "nope.json"),
@@ -454,6 +475,18 @@ def test_cli_stats_recomputes(tmp_path):
     assert main(["stats", "--trace", str(out / "trace.jsonl"),
                  "--out", str(out2)]) == 0
     assert (out2 / "metrics.csv").read_text() == (out / "metrics.csv").read_text()
+
+
+@pytest.mark.parametrize("bad", ['{"t": 1.0, "node": 0}', "not json"],
+                         ids=["missing-kind", "not-json"])
+def test_cli_stats_malformed_trace_is_config_error(tmp_path, capsys, bad):
+    from mcastsim.cli import main
+    good = trace_to_jsonl([(0, 1, "zone_update", {"v": 1, "n": 2})])
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(good + bad + "\n")
+    assert main(["stats", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 1
+    assert "trace line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_runs_matrix(tmp_path):
