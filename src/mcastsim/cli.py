@@ -7,7 +7,7 @@ import logging
 import os
 import sys
 
-from .kernel import ConfigError
+from .kernel import US, ConfigError
 from .metrics import compute_metrics, jsonl_to_trace, metrics_to_csv, trace_to_jsonl
 from .scenario import from_dict, load_scenario
 from .sim import run_scenario
@@ -99,10 +99,28 @@ def cmd_sweep(args):
     return 0
 
 
+def _trace_fault(trace, err):
+    """ConfigError naming the first event that compute_metrics cannot read on
+    its own, its kind and the field it lacks; err is what the whole trace raised."""
+    for event in trace:
+        try:
+            compute_metrics([event])
+        except (KeyError, TypeError) as e:
+            t_us, _, kind, _ = event
+            what = (f"lacks field {e.args[0]!r}" if isinstance(e, KeyError)
+                    else f"has a malformed field: {e}")
+            return ConfigError(f"trace event {kind!r} at {t_us / US:g} s {what}")
+    return ConfigError(f"trace events do not fit together: {type(err).__name__}: {err}")
+
+
 def cmd_stats(args):
     with open(args.trace) as f:
         trace = jsonl_to_trace(f.read())
-    rows = compute_metrics(trace)
+    try:
+        rows = compute_metrics(trace)
+    except (KeyError, TypeError) as e:
+        # the trace comes from outside the program: a missing field is bad input
+        raise _trace_fault(trace, e) from None
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.csv"), "w") as f:
         f.write(metrics_to_csv(rows))

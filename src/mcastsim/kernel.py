@@ -22,6 +22,11 @@ skips receivers that are not alive, and acts for each in order, so the events
 it schedules keep the order of per-receiver calls. With packet tracing on, every
 kind is delivered per receiver, a batch kind as the one-receiver tuple
 ``(nid,)``, after that receiver's ``packet_recv`` event.
+
+Ownership: handlers receive the transmitted object itself. The handler of a
+dst-directed packet is its only owner, and relays it with ``forward``, which
+sends that same object on; the receivers of a broadcast share one object, so
+each relays its own ``hop_copy()``, made after its dedup checks.
 """
 
 import heapq
@@ -346,13 +351,12 @@ class Kernel:
                              packet, receivers, powers)
 
     def forward(self, nid, pkt, dst):
-        """Relay a copy of pkt one hop to dst (None: a broadcast), spending one
-        hop of TTL; a packet whose TTL is spent stops here."""
+        """Relay pkt itself, which the caller owns, one hop to dst (None: a
+        broadcast), spending one hop of its TTL; a spent packet stops here."""
         if pkt.ttl_hops > 1:
-            out = pkt.hop_copy()
-            out.ttl_hops -= 1
-            out.dst = dst
-            self.transmit(nid, out)
+            pkt.ttl_hops -= 1
+            pkt.dst = dst
+            self.transmit(nid, pkt)
 
     # -- source routing -----------------------------------------------------
     # A source-routed packet carries its explicit route (sender excluded) as
@@ -441,10 +445,8 @@ class Kernel:
     def _deliver(self, sender, packet, receivers, powers):
         """Hand one transmission to its kind's handler (see the module docstring).
 
-        Handlers receive the transmitted object itself. A dst-directed packet
-        dispatches exactly once, so its handler may mutate it; broadcast
-        handlers must hop_copy() before mutating (after their dedup checks).
-        """
+        dst is read first: the handler at dst may relay the packet, and so change
+        it, while packet tracing walks the other receivers."""
         dst = packet.dst
         handler = self.handlers.get(packet.kind)
         batch = packet.kind in BATCH_KINDS

@@ -19,7 +19,7 @@ discovery runs on a Receiver of its own, outside any group.
 
 from .kernel import (US, ADV, BRANCH_BREAK, DATA, GROUP_QUERY,
                      GROUP_QUERY_REPLY, JOIN_QUERY, JOIN_REPLY, JOIN_REQUEST,
-                     MESH_LEAVE, SDS_ADVERT)
+                     MESH_LEAVE, SDS_ADVERT, reverse_route)
 from .rendezvous import GeoGrid, GroupAddress, WELL_KNOWN_PREFIX
 
 
@@ -63,13 +63,14 @@ class Receiver:
     """A member's discovery and upstream paths, or a bootstrap's discovery.
 
     resolved is True while no discovery runs (none started, answered, or the
-    member left); every scheduled stage callback checks it before acting.
+    member left); every scheduled stage callback checks waiting_at before acting.
     """
 
-    __slots__ = ("key", "query_kind", "stage", "attempts", "timer", "resolved",
-                 "on_sessions", "paths", "active")
+    __slots__ = ("nid", "key", "query_kind", "stage", "attempts", "timer",
+                 "resolved", "on_sessions", "paths", "active")
 
-    def __init__(self, key, query_kind):
+    def __init__(self, nid, key, query_kind):
+        self.nid = nid                 # the member, or the bootstrapping node
         self.key = key
         self.query_kind = query_kind   # "group_info" or "session_registry"
         self.stage = 0
@@ -79,6 +80,10 @@ class Receiver:
         self.on_sessions = None
         self.paths = []                # Upstream candidates
         self.active = None             # the one of paths that carries data
+
+    def waiting_at(self, stage):
+        """True while the discovery runs and waits for an answer at stage."""
+        return not self.resolved and self.stage == stage
 
     def upstream(self, path):
         """The candidate whose path equals path, or None (paths are unique)."""
@@ -144,8 +149,8 @@ class MulticastService:
         kernel.register_handler(JOIN_REPLY, self._on_answer)
         kernel.register_handler(SDS_ADVERT, self._on_local_sds_advert)
         kernel.on_link_change(self._on_link_change)
-        zone_mgr.register_evaluator(self._eval_group_info)
-        zone_mgr.register_evaluator(self._eval_session_registry)
+        zone_mgr.register_evaluator("group_info", self._eval_group_info)
+        zone_mgr.register_evaluator("session_registry", self._eval_session_registry)
         rendezvous_mgr.register_rr_handler("join_query", self._rr_join_query)
         rendezvous_mgr.register_rr_handler("rr_update", self._rr_sender_update)
         rendezvous_mgr.register_rr_handler("group_sync", self._rr_group_sync)
@@ -194,7 +199,8 @@ class MulticastService:
 
     # -- zone-scoped floods: Advs, the stage-3 member query, the popularity query
     # and local-SDS adverts. A node handles each flooded packet once; the handler
-    # works on its own copy, with itself recorded, and rebroadcasts that copy.
+    # works on its own copy, with itself recorded, and rebroadcasts that copy
+    # (the one copy per flood hop).
 
     def _flood_out(self, nid, kind, ttl, payload):
         pkt = self.kernel.new_packet(kind, nid, ttl, payload)
@@ -250,7 +256,7 @@ class MulticastService:
         key = tuple(pkt.payload["group"])
         origin = pkt.payload["sender"]
         stab = min(pkt.payload["stab"], self.mobility.stability(nid, sender))
-        route = list(reversed(pkt.path_record[:-1])) + [origin]
+        route = reverse_route(pkt.path_record, origin)
         cache = self.kernel.nodes[nid].mcast.adv_cache.setdefault(key, {})
         cache[origin] = {"path": route, "stab": stab, "t_us": self.kernel.now_us,
                          "pos": tuple(pkt.payload["pos"])}
@@ -271,83 +277,85 @@ class MulticastService:
         if rec is not None and not rec.resolved:
             return rec
         if rec is None:
-            rec = ent.receiver = Receiver(key, "group_info")
+            rec = ent.receiver = Receiver(nid, key, "group_info")
         rec.attempts = 0
         self.contacts.record_discovery(nid)
-        self._discover(nid, rec)
+        self._discover(rec)
         return rec
 
     def bootstrap_discover_sessions(self, nid, on_done=None):
         """Discover active sessions via the well-known session-advertisement group."""
-        rec = Receiver((WELL_KNOWN_PREFIX, 0), "session_registry")
+        rec = Receiver(nid, (WELL_KNOWN_PREFIX, 0), "session_registry")
         rec.on_sessions = on_done
         state = self.kernel.nodes[nid].mcast
         if state.bootstrap is not None:
             state.bootstrap.resolved = True   # the newest discovery replaces it
         state.bootstrap = rec
         self.contacts.record_discovery(nid)
-        self._discover(nid, rec)
+        self._discover(rec)
         return rec
 
-    def _discover(self, nid, rec):
+    def _discover(self, rec):
         """Start the staged discovery from stage 1; attempts sets the backoff."""
         rec.stage = 0
         rec.resolved = False
-        self._stage_advance(nid, rec)
+        self._stage_advance(rec)
 
-    def _trace_stage(self, nid, rec, status, **extra):
-        self.kernel.trace(nid, "join_stage", {"g": list(rec.key), "stage": rec.stage,
-                                              "status": status, "q": rec.query_kind,
-                                              **extra})
+    def _trace_stage(self, rec, status, **extra):
+        self.kernel.trace(rec.nid, "join_stage",
+                          {"g": list(rec.key), "stage": rec.stage, "status": status,
+                           "q": rec.query_kind, **extra})
 
-    def _stage_advance(self, nid, rec):
-        if rec.resolved or not self.kernel.nodes[nid].alive:
+    def _stage_advance(self, rec):
+        """Run the stages after rec.stage until one sends a query and arms its
+        timer; after stage 4, back off and start over from stage 1."""
+        if rec.resolved or not self.kernel.nodes[rec.nid].alive:
             return
         rec.stage += 1
-        if rec.stage > 4:
-            self._trace_stage(nid, rec, "pending")
-            backoff = min(self.config.join_backoff_s * (2 ** rec.attempts),
-                          self.config.join_max_backoff_s)
-            rec.attempts += 1
-            rec.stage = 0
-            self.kernel.schedule_in(int(backoff * US), self._stage_advance, nid, rec)
-            return
-        self._trace_stage(nid, rec, "attempt")
-        fn = (self._stage_zone, self._stage_contacts, self._stage_local,
-              self._stage_rr)[rec.stage - 1]
-        fn(nid, rec)
+        while rec.stage <= 4:
+            stage = rec.stage
+            self._trace_stage(rec, "attempt")
+            run = (self._stage_zone, self._stage_contacts, self._stage_local,
+                   self._stage_rr)[stage - 1]
+            if run(rec):
+                rec.timer = self.kernel.schedule_in(
+                    int(self._stage_timeouts[stage] * US), self._stage_timeout,
+                    rec, stage)
+                return
+            if not rec.waiting_at(stage):
+                return  # answered without a query; _stage_success took over
+            self._trace_stage(rec, "miss")
+            rec.stage += 1
+        self._trace_stage(rec, "pending")
+        backoff = min(self.config.join_backoff_s * (2 ** rec.attempts),
+                      self.config.join_max_backoff_s)
+        rec.attempts += 1
+        rec.stage = 0
+        self.kernel.schedule_in(int(backoff * US), self._stage_advance, rec)
 
-    def _arm_timeout(self, nid, rec):
-        t = self._stage_timeouts[rec.stage]
-        rec.timer = self.kernel.schedule_in(int(t * US), self._stage_timeout,
-                                            nid, rec, rec.stage)
+    def _stage_timeout(self, rec, stage):
+        if rec.waiting_at(stage):
+            self._trace_stage(rec, "timeout")
+            self._stage_advance(rec)
 
-    def _stage_timeout(self, nid, rec, stage):
-        if rec.resolved or rec.stage != stage:
-            return
-        self._trace_stage(nid, rec, "timeout")
-        self._stage_advance(nid, rec)
-
-    def _stage_zone(self, nid, rec):
-        key = rec.key
+    def _stage_zone(self, rec):
+        nid, key = rec.nid, rec.key
         if rec.query_kind == "group_info":
             detail = self._local_group_info(nid, key)
         else:
-            detail = self._eval_session_registry(nid, {"kind": "session_registry"})
+            detail = self._eval_session_registry(nid)
         if detail is not None:
-            self._stage_success(nid, rec, detail, [])
-            return
+            self._stage_success(rec, detail, [])
+            return False
         sds = self._known_zone_sds(nid, key)
         route = self.zone.intra_zone_route(nid, sds) if sds is not None else None
         if not route:
-            self._trace_stage(nid, rec, "miss")
-            self._stage_advance(nid, rec)
-            return
+            return False
         pred = {"kind": rec.query_kind, "group": key}
         payload = {"pred": pred, "origin": nid, "join_key": list(key),
                    "stage": rec.stage}
         self.kernel.source_route(nid, GROUP_QUERY, route, payload)
-        self._arm_timeout(nid, rec)
+        return True
 
     def _local_group_info(self, nid, key):
         """Stage-1 knowledge: own adv cache, then own SDS records."""
@@ -381,54 +389,52 @@ class MulticastService:
             return detail["sds"]
         return None
 
-    def _stage_contacts(self, nid, rec):
-        if not self.kernel.nodes[nid].contacts.entries:
-            self._trace_stage(nid, rec, "miss")
-            self._stage_advance(nid, rec)
-            return
+    def _stage_contacts(self, rec):
+        if not self.kernel.nodes[rec.nid].contacts.entries:
+            return False
         pred = {"kind": rec.query_kind, "group": rec.key}
         stage = rec.stage
 
-        def on_reply(detail, qpath, _nid=nid, _rec=rec, _stage=stage):
-            if not _rec.resolved and _rec.stage == _stage:
-                self._stage_success(_nid, _rec, detail, qpath)
+        def on_reply(detail, qpath):
+            if rec.waiting_at(stage):
+                self._stage_success(rec, detail, qpath)
 
-        self.contacts.contact_query(nid, pred, on_reply,
+        self.contacts.contact_query(rec.nid, pred, on_reply,
                                     timeout_s=self._stage_timeouts[2])
-        self._arm_timeout(nid, rec)
+        return True
 
-    def _stage_local(self, nid, rec):
+    def _stage_local(self, rec):
         R = self.zone.config.radius_R
-        payload = {"group": list(rec.key), "origin": nid, "stab": 1.0,
+        payload = {"group": list(rec.key), "origin": rec.nid, "stab": 1.0,
                    "q": rec.query_kind, "stage": rec.stage}
-        self._flood_out(nid, JOIN_QUERY, R, payload)
-        self._arm_timeout(nid, rec)
+        self._flood_out(rec.nid, JOIN_QUERY, R, payload)
+        return True
 
-    def _stage_rr(self, nid, rec):
+    def _stage_rr(self, rec):
         kind = "join_query" if rec.query_kind == "group_info" else "session_query"
-        self.rr.lar_send(nid, rec.key[0], kind,
-                         {"group": list(rec.key), "origin": nid,
+        self.rr.lar_send(rec.nid, rec.key[0], kind,
+                         {"group": list(rec.key), "origin": rec.nid,
                           "stage": rec.stage})
-        self._arm_timeout(nid, rec)
+        return True
 
-    def _stage_success(self, nid, rec, detail, query_path):
+    def _stage_success(self, rec, detail, query_path):
         if rec.resolved:
             return
         if rec.timer is not None:
             self.kernel.cancel(rec.timer)
         if rec.query_kind == "group_info":
-            candidates = self._candidates_from_detail(nid, detail, query_path)
-            if self.send_join_request(nid, rec.key, candidates) == 0:
+            candidates = self._candidates_from_detail(rec.nid, detail, query_path)
+            if self.send_join_request(rec.nid, rec.key, candidates) == 0:
                 # the answer offered nothing joinable (e.g. stale paths); keep looking
-                self._trace_stage(nid, rec, "unusable")
-                self._stage_advance(nid, rec)
+                self._trace_stage(rec, "unusable")
+                self._stage_advance(rec)
                 return
         rec.resolved = True
-        self._trace_stage(nid, rec, "success", hops=len(query_path))
+        self._trace_stage(rec, "success", hops=len(query_path))
         if rec.query_kind == "session_registry":
             sessions = detail.get("sessions", {})
             for name, meta in sessions.items():
-                self.kernel.nodes[nid].sds.announcements.setdefault(name, dict(meta))
+                self.kernel.nodes[rec.nid].sds.announcements.setdefault(name, dict(meta))
             if rec.on_sessions is not None:
                 rec.on_sessions({name: GroupAddress(*meta["addr"])
                                  for name, meta in sessions.items()})
@@ -436,8 +442,6 @@ class MulticastService:
     # -- query evaluation (runs at remote nodes) --------------------------------------
 
     def _eval_group_info(self, nid, pred):
-        if pred.get("kind") != "group_info":
-            return None
         key = tuple(pred["group"])
         detail = self._local_group_info(nid, key)
         if detail is not None:
@@ -446,9 +450,7 @@ class MulticastService:
             return {"graft": nid}
         return None
 
-    def _eval_session_registry(self, nid, pred):
-        if pred.get("kind") != "session_registry":
-            return None
+    def _eval_session_registry(self, nid, pred=None):
         ann = self.kernel.nodes[nid].sds.announcements
         if not ann:
             return None
@@ -501,9 +503,8 @@ class MulticastService:
         state = self.kernel.nodes[nid].mcast
         ent = state.groups.get(key)
         for rec in (ent and ent.receiver, state.bootstrap):
-            if (rec is not None and rec.key == key and not rec.resolved
-                    and rec.stage == inner.get("stage")):
-                self._stage_success(nid, rec, inner["detail"], inner.get("qpath", []))
+            if rec is not None and rec.key == key and rec.waiting_at(inner.get("stage")):
+                self._stage_success(rec, inner["detail"], inner.get("qpath", []))
                 return
 
     def _on_join_query(self, nid, pkt, rx_power, sender):
@@ -545,8 +546,7 @@ class MulticastService:
 
     def _rr_session_query(self, nid, pkt):
         inner = pkt.payload["inner"]
-        detail = (self._eval_session_registry(nid, {"kind": "session_registry"})
-                  or {"sessions": {}})
+        detail = self._eval_session_registry(nid) or {"sessions": {}}
         self._answer(nid, pkt, JOIN_REPLY, inner, detail, list(inner["group"]))
 
     # -- join requests and mesh construction -------------------------------------------
@@ -587,7 +587,7 @@ class MulticastService:
         concrete.sort(key=lambda c: (-c["stability"], len(c["path"]), tuple(c["path"])))
         ent = self.entry(nid, key, create=True)
         if ent.receiver is None:
-            ent.receiver = Receiver(key, "group_info")
+            ent.receiver = Receiver(nid, key, "group_info")
         rec = ent.receiver
         launched = 0
         if concrete:
@@ -596,7 +596,7 @@ class MulticastService:
                               {"g": list(key), "n": len(picked)})
             for c in picked:
                 want_active = launched == 0 and rec.active is None
-                if self._install_upstream(nid, rec, c["path"], c["stability"],
+                if self._install_upstream(rec, c["path"], c["stability"],
                                           active=want_active):
                     launched += 1
         if launched:
@@ -612,18 +612,18 @@ class MulticastService:
             launched += 1
         return launched
 
-    def _install_upstream(self, nid, rec, path, stability, active):
+    def _install_upstream(self, rec, path, stability, active):
         """Record a candidate path at the receiver and walk a join along it.
 
         Returns False when the path is unusable (first hop not adjacent)."""
+        nid, key = rec.nid, rec.key
         if not path or not self.kernel.are_neighbors(nid, path[0]):
             return False
-        key = rec.key
         path = list(path)
         known = rec.upstream(path)
         if known is not None:
             if active and known is not rec.active:
-                self._activate_path(nid, key, known)
+                self._activate_path(rec, known)
             return True
         up = Upstream(path, stability)
         rec.paths.append(up)
@@ -678,8 +678,8 @@ class MulticastService:
         dead = rec and rec.upstream(route)
         if dead is None:
             return
-        if self._walk_off(receiver, rec, dead):
-            self._failover(receiver, key)
+        if self._walk_off(rec, dead):
+            self._failover(rec)
 
     # -- mesh walks: explicit-route mark moves ------------------------------------------
 
@@ -751,21 +751,21 @@ class MulticastService:
             ent.receiver = None
             rec.resolved = True
             for p in list(rec.paths):
-                self._walk_off(nid, rec, p)
+                self._walk_off(rec, p)
         self._gc_entry(nid, key)
 
-    def _walk_off(self, nid, rec, up):
+    def _walk_off(self, rec, up):
         """Forget candidate path up and walk its marks off; True if it was active."""
         rec.paths.remove(up)
         was_active = up is rec.active
         if was_active:
             rec.active = None
-        self._walk_mode(nid, rec.key, up.path, "leave_path")
+        self._walk_mode(rec.nid, rec.key, up.path, "leave_path")
         return was_active
 
-    def _activate_path(self, nid, key, up):
+    def _activate_path(self, rec, up):
         """Make-before-break switch of the receiver's active upstream path."""
-        rec = self.kernel.nodes[nid].mcast.groups[key].receiver
+        nid, key = rec.nid, rec.key
         old, rec.active = rec.active, up
         self._walk_mode(nid, key, up.path, "upgrade")
         self.kernel.trace(nid, "branch_activate", {"g": list(key), "via": up.path[0]})
@@ -806,7 +806,7 @@ class MulticastService:
         copies = 0
         for peer in sorted(ent.links):
             if peer != arrival_from and ent.links[peer].active():
-                self.kernel.forward(nid, pkt, peer)
+                self.kernel.forward(nid, pkt.hop_copy(), peer)
                 copies += 1
         return copies
 
@@ -860,7 +860,7 @@ class MulticastService:
             return "repaired"
         self.kernel.trace(nid, "local_repair", {"g": list(key), "ok": False})
         if ent.receiver is not None:
-            self._failover(nid, key)
+            self._failover(ent.receiver)
         for peer in sorted(ent.links):
             l = ent.links[peer]
             if l.down_members and self.kernel.are_neighbors(nid, peer):
@@ -951,33 +951,29 @@ class MulticastService:
             return
         self._drop_up_marks(ent, sender)
         if ent.receiver is not None:
-            self._failover(nid, key)
+            self._failover(ent.receiver)
             return
         self.local_recovery(nid, key, sender)
 
-    def _failover(self, nid, key):
+    def _failover(self, rec):
         """Receiver lost its active path: activate the next-best standby or rejoin."""
-        ent = self.kernel.nodes[nid].mcast.groups.get(key)
-        rec = ent and ent.receiver
-        if rec is None:
-            return
         # the choice is made among the paths live before the dead ones are
         # walked off: a walk can re-enter _failover and install a new path
         live = [p for p in rec.paths
-                if p.path and self.kernel.are_neighbors(nid, p.path[0])]
+                if p.path and self.kernel.are_neighbors(rec.nid, p.path[0])]
         for p in [p for p in rec.paths if p not in live]:
             if p not in rec.paths:
                 continue  # a re-entered call has walked it off already
-            self._walk_off(nid, rec, p)
+            self._walk_off(rec, p)
         if rec.active in live:
             return
         standby = rec.best_standby(live)
         if standby is not None:
-            self._activate_path(nid, key, standby)
+            self._activate_path(rec, standby)
             return
         if rec.resolved:
             rec.attempts = 0
-            self._discover(nid, rec)
+            self._discover(rec)
 
     def handoff_on_move(self, nid, key, new_peer):
         """Graft through a newly adjacent mesh node; make-before-break."""
@@ -1055,7 +1051,7 @@ class MulticastService:
         active = rec.active is None
         if not active and len(rec.paths) >= self.config.max_paths:
             return
-        self._install_upstream(nid, rec, path, inner["detail"].get("stab", 0.5),
+        self._install_upstream(rec, path, inner["detail"].get("stab", 0.5),
                                active=active)
 
     # -- popularity adaptation ----------------------------------------------------------

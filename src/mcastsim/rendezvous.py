@@ -99,7 +99,7 @@ class RendezvousManager:
                             config.grid_cols, config.grid_rows)
         self.rr_handlers = {}        # inner_kind -> fn(nid, pkt) at the RR
         self.geocast_handlers = {}   # inner_kind -> fn(nid, pkt, in_region)
-        self._pending_sessions = {}  # (initiator, name) -> pending record
+        self._pending_sessions = {}  # (initiator, name) -> record until answered
         self._session_listeners = []
         for node in kernel.nodes.values():
             node.sds = SdsState()
@@ -116,7 +116,7 @@ class RendezvousManager:
         self.register_rr_handler("session_register", self._rr_session_register)
         self.register_rr_handler("session_announce", self._rr_session_announce)
         self.register_rr_handler("sds_leave_rr", self._rr_sds_leave)
-        zone_mgr.register_evaluator(self._eval_sds_for)
+        zone_mgr.register_evaluator("sds_for", self._eval_sds_for)
 
     # -- registration points for other layers ------------------------------------
 
@@ -338,8 +338,6 @@ class RendezvousManager:
 
     def _eval_sds_for(self, nid, pred):
         """Zone predicate: is there an SDS for this prefix here or among members?"""
-        if pred.get("kind") != "sds_for":
-            return None
         prefix = pred["prefix"]
         state = self.kernel.nodes[nid].sds
         if prefix in state.prefixes:
@@ -379,6 +377,7 @@ class RendezvousManager:
             if not local:
                 self.kernel.trace(nid, "geocast_rebroadcast",
                                   {"k": pkt.payload["inner_kind"]})
+                pkt = pkt.hop_copy()   # every receiver shares the one it heard
             self.kernel.forward(nid, pkt, None)
 
     # -- lollipop-LAR ---------------------------------------------------------
@@ -470,12 +469,9 @@ class RendezvousManager:
             self.kernel.trace(nid, "delivery_failure",
                               {"k": pkt.payload["inner_kind"], "why": "ttl"})
             return
-        out = pkt.hop_copy()
-        out.payload = dict(pkt.payload, route=tuple(leg))
-        out.ttl_hops -= 1
-        out.dst = leg[0]
+        pkt.payload = dict(pkt.payload, route=tuple(leg))
         self.kernel.trace(nid, "lar_hop", {"mode": mode, "to": leg[0]})
-        self.kernel.transmit(nid, out)
+        self.kernel.forward(nid, pkt, leg[0])
 
     # -- delivery inside the rendezvous region -------------------------------------
 
@@ -499,9 +495,8 @@ class RendezvousManager:
                 self._lar_leg(nid, pkt, route, "rr_local")
             else:
                 t, pos = state.known_sds[prefix][sds]
-                out = pkt.hop_copy()
-                out.payload = dict(pkt.payload, dst_node=sds, dst_pos=tuple(pos))
-                self._lar_greedy(nid, out, pos)
+                pkt.payload = dict(pkt.payload, dst_node=sds, dst_pos=tuple(pos))
+                self._lar_greedy(nid, pkt, pos)
             return
         # no server known here: flood the wrapped request within the region
         self.geocast(nid, pkt.payload["rect"], "lar_rr",
@@ -560,7 +555,7 @@ class RendezvousManager:
             if suffix is not None and not (0 <= suffix < (1 << self.config.suffix_bits)):
                 raise ConfigError(f"suffix {suffix} outside suffix_bits")
         pending = {"name": name, "prefix": prefix, "want_suffix": suffix,
-                   "scope_ttl": scope_ttl, "tries": 0, "confirmed": False}
+                   "scope_ttl": scope_ttl, "tries": 0}
         self._pending_sessions[(initiator, name)] = pending
         self._send_register(initiator, pending)
 
@@ -576,8 +571,8 @@ class RendezvousManager:
 
     def _register_timeout(self, initiator, name):
         pending = self._pending_sessions.get((initiator, name))
-        if pending is None or pending["confirmed"]:
-            return
+        if pending is None:
+            return  # answered, or provisionally assigned
         if pending["tries"] <= self.config.register_max_retries:
             self._send_register(initiator, pending)
             return
@@ -586,7 +581,7 @@ class RendezvousManager:
         if pending["prefix"] == WELL_KNOWN_PREFIX and suffix == WELL_KNOWN_SUFFIX:
             suffix = 1
         addr = GroupAddress(pending["prefix"], suffix)
-        pending["confirmed"] = True
+        del self._pending_sessions[(initiator, name)]
         self.kernel.trace(initiator, "session_register",
                           {"name": name, "addr": list(addr.key()),
                            "provisional": True})
@@ -655,10 +650,8 @@ class RendezvousManager:
         if self.kernel.relay(nid, pkt):
             return
         inner = pkt.payload["inner"]
-        pending = self._pending_sessions.get((nid, inner["name"]))
-        if pending is None or pending["confirmed"]:
-            return
-        pending["confirmed"] = True
+        if self._pending_sessions.pop((nid, inner["name"]), None) is None:
+            return  # a late or duplicate reply
         addr = GroupAddress(*inner["addr"])
         self._confirm(nid, inner["name"], addr, provisional=False)
 

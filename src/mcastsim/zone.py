@@ -52,7 +52,7 @@ class ZoneRouting:
         self.contact_count_fn = lambda nid: 0   # wired up by the contacts layer
         self.activity_fn = lambda nid: None     # likewise: discovery-rate counter
         self.zone_update_listeners = []          # fn(nid, old_members, table)
-        self.evaluators = []                     # fn(nid, pred) -> detail | None
+        self.evaluators = {}                     # kind -> fn(nid, pred) -> detail | None
         self.query_callbacks = {}                # qid -> fn(detail, reply_path)
         self._qid = 0
         for node in kernel.nodes.values():
@@ -62,7 +62,7 @@ class ZoneRouting:
         kernel.register_handler(BORDERCAST_QUERY, self._on_query)
         kernel.register_handler(BORDERCAST_REPLY, self._on_reply)
         kernel.on_link_change(self._on_link_change)
-        self.register_evaluator(self._eval_find_node)
+        self.register_evaluator("find_node", self._eval_find_node)
 
     # -- periodic cycle -------------------------------------------------------
 
@@ -99,13 +99,14 @@ class ZoneRouting:
     # -- advert propagation -----------------------------------------------------
 
     def _on_advert(self, receivers, pkt, rx_power, sender):
-        """One advert transmission: each live receiver other than its origin that
-        holds an older advert (or none) stores it, marks its zone dirty and relays."""
+        """One advert transmission: each live receiver but the origin that holds an
+        older advert (or none) stores it, marks its zone dirty and relays a copy."""
         payload = pkt.payload
         origin = payload["origin"]
         seq = payload["seq"]
         entry = (seq, payload["nbrs"], payload["contacts"])
         nodes = self.kernel.nodes
+        relay = pkt.ttl_hops > 1
         for nid in receivers:
             if nid == origin:
                 continue
@@ -118,7 +119,8 @@ class ZoneRouting:
                 continue
             adverts[origin] = entry
             self._mark_dirty(nid)
-            self.kernel.forward(nid, pkt, None)
+            if relay:
+                self.kernel.forward(nid, pkt.hop_copy(), None)
 
     def _on_link_change(self, nid, added, removed):
         node = self.kernel.nodes[nid]
@@ -244,19 +246,14 @@ class ZoneRouting:
 
     # -- bordercast ---------------------------------------------------------------
 
-    def register_evaluator(self, fn):
-        self.evaluators.append(fn)
+    def register_evaluator(self, kind, fn):
+        self.evaluators[kind] = fn
 
     def evaluate(self, nid, pred):
-        for fn in self.evaluators:
-            detail = fn(nid, pred)
-            if detail is not None:
-                return detail
-        return None
+        fn = self.evaluators.get(pred["kind"])
+        return fn(nid, pred) if fn is not None else None
 
     def _eval_find_node(self, nid, pred):
-        if pred.get("kind") != "find_node":
-            return None
         target = pred["target"]
         if target == nid:
             return {"route": [], "at": nid}

@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -487,6 +491,41 @@ def test_cli_stats_malformed_trace_is_config_error(tmp_path, capsys, bad):
     assert main(["stats", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 1
     assert "trace line 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_stats_trace_missing_a_field_is_config_error(tmp_path, capsys):
+    from mcastsim.cli import main
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"t":1.0,"node":0,"kind":"data_send","detail":{}}\n')
+    assert main(["stats", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'data_send'" in err and "'g'" in err
+    assert not (tmp_path / "o").exists()
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    """Run ``python -m mcastsim`` from the source tree, uninstalled."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run([sys.executable, "-m", "mcastsim", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    scen = write_scenario(tmp_path, {"duration_s": 2.0})
+    out = tmp_path / "out"
+    assert run_module("run", "--scenario", scen, "--out", str(out)).returncode == 0
+    assert run_module("stats", "--trace", str(out / "trace.jsonl"),
+                      "--out", str(tmp_path / "stats")).returncode == 0
+    assert ((tmp_path / "stats" / "metrics.csv").read_text()
+            == (out / "metrics.csv").read_text())
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"t":1.0,"node":0,"kind":"data_send","detail":{}}\n')
+    done = run_module("stats", "--trace", str(bad), "--out", str(tmp_path / "o"))
+    assert done.returncode == 1, done.stderr
+    assert "lacks field 'g'" in done.stderr
 
 
 def test_cli_sweep_runs_matrix(tmp_path):

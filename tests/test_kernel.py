@@ -1,11 +1,13 @@
 import heapq
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mcastsim.kernel import US, HELLO, ConfigError, FatalSimError, Kernel, RadioModel
+from mcastsim.kernel import (US, HELLO, JOIN_QUERY, ZONE_LINK_STATE, ConfigError,
+                             FatalSimError, Kernel, Packet, RadioModel)
 
 from conftest import make_sim, run_s
 
@@ -379,3 +381,60 @@ def test_greedy_step_and_route_probe(static_line):
     assert k.closer_node(4, x8, [6, 7, 2]) == 7
     assert k.route_intact(0, [1, 2, 3])
     assert not k.route_intact(0, [1, 3])
+
+
+# -- packet ownership: relays send the packet they own ------------------------
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """(kind, pid) -> Packet.hop_copy calls made on that packet."""
+    counts = Counter()
+    hop_copy = Packet.hop_copy
+
+    def counting(pkt):
+        counts[(pkt.kind, pkt.pid)] += 1
+        return hop_copy(pkt)
+    monkeypatch.setattr(Packet, "hop_copy", counting)
+    return counts
+
+
+def test_source_routed_relays_make_no_copy(static_line, copies):
+    k = static_line.kernel
+    got = routed_log(k)
+    route = [1, 2, 3, 4, 5]
+    k.source_route(0, ROUTED, route, {})
+    run_s(static_line, 0.1)
+    assert got == [(5, route, 2)]
+    assert not [n for (kind, _), n in copies.items() if kind == ROUTED]
+
+
+def test_zone_flood_makes_one_copy_per_handling_node(static_line, copies):
+    sim = static_line
+    payload = {"group": [0, 1], "origin": 4, "stab": 1.0,
+               "q": "session_registry", "stage": 3}
+    seen = sim.kernel.nodes[4].mcast.seen
+    before = set(seen)
+    sim.mcast._flood_out(4, JOIN_QUERY, sim.zone.config.radius_R, payload)
+    pid, = seen - before
+    run_s(sim, 0.1)
+    handled = [nid for nid, n in sim.kernel.nodes.items()
+               if nid != 4 and pid in n.mcast.seen]
+    assert handled == [2, 3, 5, 6]
+    assert copies[(JOIN_QUERY, pid)] == len(handled)
+
+
+@pytest.mark.parametrize("ttl, relayed", [(1, 0), (2, 2)])
+def test_advert_copies_only_when_its_ttl_allows_a_relay(static_line, copies,
+                                                         ttl, relayed):
+    k = static_line.kernel
+    zone = k.nodes[4].zone
+    payload = {"origin": 4, "seq": zone.my_seq + 1,
+               "nbrs": k.sorted_neighbors(4), "contacts": 0}
+    pkt = k.new_packet(ZONE_LINK_STATE, 4, ttl, payload)
+    k.transmit(4, pkt)
+    run_s(static_line, 0.1)
+    stored = [nid for nid, n in k.nodes.items()
+              if n.zone.adverts.get(4, (0,))[0] == zone.my_seq + 1]
+    assert stored == ([3, 5] if ttl == 1 else [2, 3, 5, 6])
+    assert copies[(ZONE_LINK_STATE, pkt.pid)] == relayed

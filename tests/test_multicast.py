@@ -268,7 +268,7 @@ def test_duplicate_data_forwarded_once():
     sim = adv_line_sim(n=6)
     addr = GroupAddress(0, 1)
     key = addr.key()
-    sim.mcast.entry(3, key, create=True).receiver = Receiver(key, "group_info")
+    sim.mcast.entry(3, key, create=True).receiver = Receiver(3, key, "group_info")
     link = sim.mcast._link(3, key, 2)
     link.down_members.add(99)
     mk = lambda: sim.kernel.new_packet(DATA, 9, 16,
@@ -368,7 +368,7 @@ def test_path_switch_keeps_exactly_one_active():
     run_s(sim, 1.0)
     rec = sim.kernel.nodes[3].mcast.groups[key].receiver
     standby = [p for p in rec.paths if p is not rec.active][0]
-    sim.mcast._activate_path(3, key, standby)
+    sim.mcast._activate_path(rec, standby)
     assert rec.active is standby
     run_s(sim, 1.0)
     assert sim.kernel.nodes[4].mcast.groups[key].links[3].down_members == {3}

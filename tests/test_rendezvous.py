@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from mcastsim.kernel import GEOCAST, LAR_FORWARD, ConfigError
+from mcastsim.kernel import GEOCAST, LAR_FORWARD, SESSION_REPLY, ConfigError
 from mcastsim.rendezvous import GeoGrid, GroupAddress
 
 from conftest import make_sim, line_positions, run_s
@@ -490,6 +490,60 @@ def test_unreachable_rr_falls_back_to_provisional():
     assert sess is not None and sess.prefix == 3
     regs = [e for e in sim.kernel.trace_events if e[2] == "session_register"]
     assert any(e[3].get("provisional") for e in regs)
+
+
+def watch_confirmations(sim):
+    """Lists of (node, name) confirmations and of the LAR sends' inner kinds."""
+    confirmed, sent = [], []
+    sim.rr.on_session_confirmed(lambda nid, name, addr: confirmed.append((nid, name)))
+    lar_send = sim.rr.lar_send
+
+    def counting(origin, prefix, inner_kind, *args, **kwargs):
+        sent.append(inner_kind)
+        return lar_send(origin, prefix, inner_kind, *args, **kwargs)
+    sim.rr.lar_send = counting
+    return confirmed, sent
+
+
+def late_reply(sim, nid, name, addr):
+    """A session reply for nid arriving after the first one."""
+    query = sim.kernel.new_packet("test_query", nid, 1)
+    inner = {"name": name, "addr": list(addr), "rejected_requested": False}
+    sim.kernel.source_reply(nid, query, SESSION_REPLY, {"inner": inner}, origin=nid)
+
+
+def test_answered_registration_leaves_no_record():
+    sim = region_sim_with_sds()
+    confirmed, sent = watch_confirmations(sim)
+    sim.rr.register_session(4, "alpha")
+    run_s(sim, 3.0)
+    assert confirmed == [(4, "alpha")]
+    assert sim.rr._pending_sessions == {}
+    late_reply(sim, 4, "alpha", (0, 5))
+    run_s(sim, 3.0)
+    assert confirmed == [(4, "alpha")]
+    assert sent.count("session_announce") == 1
+    assert sim.kernel.nodes[4].sds.known_sessions["alpha"] == GroupAddress(0, 1)
+
+
+def test_provisional_registration_leaves_no_record():
+    sim = make_sim(node_count=3, nodes=line_positions(3, 100.0),
+                   area={"width_m": 2000.0, "height_m": 200.0},
+                   radio={"range_m": 120.0}, duration_s=60.0,
+                   rr={"grid_cols": 4, "grid_rows": 1,
+                       "register_timeout_s": 0.2, "register_max_retries": 2})
+    run_s(sim, 2.0)
+    confirmed, sent = watch_confirmations(sim)
+    sim.rr.register_session(0, "ghost", requested=GroupAddress(3, 0))
+    run_s(sim, 10.0)
+    assert confirmed == [(0, "ghost")]
+    assert sim.rr._pending_sessions == {}
+    addr = sim.kernel.nodes[0].sds.known_sessions["ghost"]
+    late_reply(sim, 0, "ghost", (3, 0))
+    run_s(sim, 1.0)
+    assert confirmed == [(0, "ghost")]
+    assert sent.count("session_announce") == 1
+    assert sim.kernel.nodes[0].sds.known_sessions["ghost"] == addr
 
 
 def test_confirmed_session_announced_at_well_known_rr():
